@@ -22,13 +22,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Any, Sequence
+from typing import Any, NamedTuple, Sequence
 
 from repro.core.cost import CostLedger, send_round_cost, sort_round_cost
 from repro.cutmatching.shuffler import Shuffler
 from repro.kernels import use_numpy
 
-__all__ = ["DispersionState", "DispersionStats", "disperse", "disperse_many"]
+__all__ = ["DispersionJob", "DispersionState", "DispersionStats", "disperse", "disperse_many"]
 
 
 @dataclass
@@ -98,6 +98,28 @@ class DispersionState:
         return list(self.queues[part].get(mark, []))
 
 
+class DispersionJob(NamedTuple):
+    """One dispersion of a batch: a state, its shuffler, and the cost inputs."""
+
+    state: DispersionState
+    shuffler: Shuffler
+    part_sizes: Sequence[int]
+    load: int
+    flatten_quality: int
+
+
+def _undispersed(state: DispersionState) -> DispersionStats:
+    """Statistics of a state no shuffler iteration touches (one part, or no matchings)."""
+    t = state.part_count
+    marks = state.marks()
+    return DispersionStats(
+        final_counts={
+            (part, mark): state.count(part, mark) for part in range(t) for mark in marks
+        },
+        mark_totals={mark: sum(state.count(part, mark) for part in range(t)) for mark in marks},
+    )
+
+
 def disperse(
     state: DispersionState,
     shuffler: Shuffler,
@@ -106,6 +128,7 @@ def disperse(
     flatten_quality: int,
     ledger: CostLedger | None = None,
     phase: str = "disperse",
+    numpy: bool | None = None,
 ) -> DispersionStats:
     """Replay the shuffler's fractional matchings on ``state`` (Lemma 6.2).
 
@@ -117,6 +140,7 @@ def disperse(
         flatten_quality: ``Q(f0_HX)`` of the owning node (round accounting).
         ledger: optional ledger to charge rounds to.
         phase: ledger phase name.
+        numpy: the kernel, resolved by the caller; ``None`` reads it here.
 
     Returns:
         Dispersion statistics including the Definition 6.1 window check.
@@ -128,16 +152,8 @@ def disperse(
     stats = DispersionStats()
     t = state.part_count
     if t <= 1 or len(shuffler) == 0:
-        stats.final_counts = {
-            (part, mark): state.count(part, mark)
-            for part in range(t)
-            for mark in state.marks()
-        }
-        stats.mark_totals = {
-            mark: sum(state.count(part, mark) for part in range(t)) for mark in state.marks()
-        }
-        return stats
-    if use_numpy():
+        return _undispersed(state)
+    if use_numpy() if numpy is None else numpy:
         from repro.kernels.dispersion import disperse_numpy
 
         return disperse_numpy(state, shuffler, part_sizes, load, flatten_quality, ledger, phase)
@@ -234,31 +250,28 @@ def disperse(
 
 
 def disperse_many(
-    states: Sequence[DispersionState],
-    shuffler: Shuffler,
-    part_sizes: Sequence[int],
-    loads: Sequence[int],
-    flatten_quality: int,
+    jobs: Sequence[DispersionJob], numpy: bool | None = None
 ) -> list[DispersionStats]:
-    """Disperse several independent states through one shuffler replay.
+    """Disperse several independent states, each through its own shuffler.
 
-    The fused twin of calling :func:`disperse` once per state (no ledger —
+    The fused twin of calling :func:`disperse` once per job (no ledger —
     callers charge ``stats.rounds`` themselves): every state's token
-    movements, statistics, and round counts are identical to its solo run,
-    but under the numpy kernel all states share one transfer-planning pass
-    per matching (:func:`repro.kernels.batched.disperse_many_numpy`), which
-    is what makes warm same-graph query batches cheap.
+    movements, statistics, and round counts are identical to its solo run.
+    Under the numpy kernel all jobs — queries and sibling clusters alike —
+    share one planning pass per shuffler iteration
+    (:func:`repro.kernels.batched.disperse_many_numpy`).
     """
-    if not states:
-        return []
-    t = states[0].part_count
-    if any(state.part_count != t for state in states):
-        raise ValueError("disperse_many requires states over the same partition")
-    if t <= 1 or len(shuffler) == 0 or not use_numpy():
+    if not (use_numpy() if numpy is None else numpy):
         return [
-            disperse(state, shuffler, part_sizes, load, flatten_quality, ledger=None)
-            for state, load in zip(states, loads)
+            disperse(
+                job.state, job.shuffler, job.part_sizes, job.load, job.flatten_quality, numpy=False
+            )
+            for job in jobs
         ]
     from repro.kernels.batched import disperse_many_numpy
 
-    return disperse_many_numpy(states, shuffler, part_sizes, flatten_quality)
+    trivial = [job.state.part_count <= 1 or len(job.shuffler) == 0 for job in jobs]
+    replayed = iter(disperse_many_numpy([job for job, skip in zip(jobs, trivial) if not skip]))
+    return [
+        _undispersed(job.state) if skip else next(replayed) for job, skip in zip(jobs, trivial)
+    ]

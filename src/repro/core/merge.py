@@ -22,16 +22,22 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Hashable, Sequence
+from typing import Hashable, NamedTuple, Sequence
 
 from repro.core.cost import CostLedger, send_round_cost, sort_round_cost
-from repro.core.dispersion import DispersionState, DispersionStats, disperse, disperse_many
+from repro.core.dispersion import (
+    DispersionJob,
+    DispersionState,
+    DispersionStats,
+    disperse,
+    disperse_many,
+)
 from repro.core.tokens import Token
-from repro.cutmatching.shuffler import Shuffler
+from repro.hierarchy.best import best_counts_per_part
 from repro.hierarchy.node import HierarchyNode
 from repro.kernels import use_numpy
 
-__all__ = ["Task3Result", "solve_task3", "solve_task3_many"]
+__all__ = ["NodeStatics", "Task3Result", "node_statics", "solve_task3", "solve_task3_many"]
 
 
 @dataclass
@@ -56,31 +62,55 @@ class Task3Result:
     rounds: int = 0
 
 
-def _part_vertices(node: HierarchyNode) -> list[list]:
-    if use_numpy():
-        cached = getattr(node, "_sorted_parts_cache", None)
-        if cached is None:
-            cached = node._sorted_parts_cache = [sorted(part.vertices) for part in node.parts]
-        return cached
-    return [sorted(part.vertices) for part in node.parts]
+class NodeStatics(NamedTuple):
+    """What a query reads of an internal node: pure functions of the artifact.
+
+    Attributes:
+        parts: each part's vertices, sorted.
+        part_sizes: ``|X*_i|`` per part.
+        part_of: vertex -> part index.
+        flatten_quality: ``Q(f0_HX)``.
+        shuffler_quality: ``Q(M_X)`` (0 without a shuffler).
+        matching_quality: the bad-to-good walk's path quality (Property 3.1(3)).
+        best_counts: best vertices per part (marker rewriting, Section 4).
+    """
+
+    parts: list[list]
+    part_sizes: list[int]
+    part_of: dict
+    flatten_quality: int
+    shuffler_quality: int
+    matching_quality: int
+    best_counts: list[int]
 
 
-def _part_of_vertex(node: HierarchyNode) -> dict:
-    if use_numpy():
-        cached = getattr(node, "_part_of_cache", None)
-        if cached is None:
-            cached = node._part_of_cache = node.part_of_vertex()
-        return cached
-    return node.part_of_vertex()
+def node_statics(node: HierarchyNode, numpy: bool) -> NodeStatics:
+    """The node's query-time statics: cached under numpy, recomputed under reference."""
+    if numpy:
+        cached = getattr(node, "_statics_cache", None)
+        if cached is not None:
+            return cached
+    parts = [sorted(part.vertices) for part in node.parts]
+    flatten_quality = node.flatten_quality()
+    statics = NodeStatics(
+        parts=parts,
+        part_sizes=[len(vertices) for vertices in parts],
+        part_of=node.part_of_vertex(),
+        flatten_quality=flatten_quality,
+        shuffler_quality=node.shuffler.quality if node.shuffler is not None else 0,
+        matching_quality=max(1, node.part_matching_embedding.quality) * max(1, flatten_quality),
+        best_counts=best_counts_per_part(node),
+    )
+    if numpy:
+        node._statics_cache = statics
+    return statics
 
 
 def _dispersed_dummies(
     node: HierarchyNode,
-    shuffler: Shuffler,
-    parts: list[list],
-    part_sizes: list[int],
+    statics: NodeStatics,
     dummies_per_vertex: int,
-    flatten_quality: int,
+    numpy: bool,
 ) -> tuple[DispersionState, DispersionStats]:
     """The fully dispersed dummy configuration for ``dummies_per_vertex``.
 
@@ -92,25 +122,26 @@ def _dispersed_dummies(
     accounting exactly.
     """
     cache = None
-    if use_numpy():
+    if numpy:
         cache = getattr(node, "_dummy_dispersion_cache", None)
         if cache is None:
             cache = node._dummy_dispersion_cache = {}
         entry = cache.get(dummies_per_vertex)
         if entry is not None:
             return entry
-    dummy_state = DispersionState(len(parts))
-    for part_index, vertices in enumerate(parts):
+    dummy_state = DispersionState(len(statics.parts))
+    for part_index, vertices in enumerate(statics.parts):
         for vertex in vertices:
             for _ in range(dummies_per_vertex):
                 dummy_state.add(part_index, part_index, vertex)
     stats = disperse(
         dummy_state,
-        shuffler,
-        part_sizes,
+        node.shuffler,
+        statics.part_sizes,
         dummies_per_vertex,
-        flatten_quality,
+        statics.flatten_quality,
         ledger=None,
+        numpy=numpy,
     )
     if cache is not None:
         cache[dummies_per_vertex] = (dummy_state, stats)
@@ -123,6 +154,7 @@ def solve_task3(
     load: int,
     ledger: CostLedger,
     dummies_per_vertex: int | None = None,
+    numpy: bool | None = None,
 ) -> Task3Result:
     """Deliver every token to a vertex of its marked part (Definition 4.3).
 
@@ -134,86 +166,98 @@ def solve_task3(
         ledger: cost ledger charged with the rounds.
         dummies_per_vertex: how many dummy tokens each vertex generates
             (paper: ``2L``); configurable for the ablation experiments.
+        numpy: the kernel, resolved by the caller; ``None`` reads it here.
 
     Returns:
         The per-token vertex assignments plus dispersion statistics.
     """
-    if node.shuffler is None:
-        raise RuntimeError("node has no shuffler; run preprocessing before routing queries")
-    shuffler: Shuffler = node.shuffler
-    parts = _part_vertices(node)
-    part_sizes = [len(vertices) for vertices in parts]
-    t = len(parts)
-    part_of = _part_of_vertex(node)
-    flatten_quality = node.flatten_quality()
-    if dummies_per_vertex is None:
-        dummies_per_vertex = 2 * max(1, load)
+    return solve_task3_many([(node, tokens, load, ledger)], dummies_per_vertex, numpy)[0]
 
-    result = Task3Result()
-    if t == 0:
-        return result
-    if t == 1:
-        # Single part: every token already sits in its marked part.
-        only = parts[0]
-        for index, token in enumerate(tokens):
-            result.assignments[token.token_id] = token.current_vertex
-        return result
 
-    with ledger.phase("task3"):
-        # -- 1. disperse the real tokens -----------------------------------
+def solve_task3_many(
+    instances: Sequence[tuple[HierarchyNode, Sequence[Token], int, CostLedger]],
+    dummies_per_vertex: int | None = None,
+    numpy: bool | None = None,
+) -> list[Task3Result]:
+    """Solve many Task 3 instances, their real dispersions in one batched call.
+
+    ``instances`` holds ``(node, tokens, load, ledger)`` per instance; nodes
+    may differ (sibling clusters of a frontier level) or repeat (several
+    queries on one node).  The real tokens of every instance disperse through
+    one :func:`~repro.core.dispersion.disperse_many` call, dummy
+    configurations come from the per-node cache, and each instance's pairing,
+    charges, and result are identical to a solo run.
+    """
+    if numpy is None:
+        numpy = use_numpy()
+    prepared = []
+    jobs: list[DispersionJob] = []
+    for node, tokens, load, ledger in instances:
+        if node.shuffler is None:
+            raise RuntimeError("node has no shuffler; run preprocessing before routing queries")
+        statics = node_statics(node, numpy)
+        t = len(statics.parts)
         real_state = DispersionState(t)
-        for token in tokens:
-            origin_part = part_of.get(token.current_vertex)
-            if origin_part is None:
-                raise ValueError(
-                    f"token {token.token_id} is not located on a vertex of this node"
+        if t > 1:
+            for token in tokens:
+                origin_part = statics.part_of.get(token.current_vertex)
+                if origin_part is None:
+                    raise ValueError(
+                        f"token {token.token_id} is not located on a vertex of this node"
+                    )
+                if token.part_mark is None:
+                    raise ValueError(f"token {token.token_id} has no part mark")
+                real_state.add(origin_part, token.part_mark, token)
+            jobs.append(
+                DispersionJob(
+                    real_state, node.shuffler, statics.part_sizes, load, statics.flatten_quality
                 )
-            if token.part_mark is None:
-                raise ValueError(f"token {token.token_id} has no part mark")
-            real_state.add(origin_part, token.part_mark, token)
-        result.real_stats = disperse(
-            real_state, shuffler, part_sizes, load, flatten_quality, ledger, phase="real-disperse"
-        )
-        _finish_task3(
-            node,
-            shuffler,
-            parts,
-            part_sizes,
-            t,
-            load,
-            ledger,
-            dummies_per_vertex,
-            flatten_quality,
-            real_state,
-            result,
-        )
-    return result
+            )
+        prepared.append((statics, real_state))
+    real_stats = iter(disperse_many(jobs, numpy=numpy))
+
+    results = []
+    for (node, tokens, load, ledger), (statics, real_state) in zip(instances, prepared):
+        result = Task3Result()
+        results.append(result)
+        t = len(statics.parts)
+        if t == 1:
+            # Single part: every token already sits in its marked part.
+            for token in tokens:
+                result.assignments[token.token_id] = token.current_vertex
+        if t <= 1:
+            continue
+        with ledger.phase("task3"):
+            result.real_stats = next(real_stats)
+            if len(node.shuffler) > 0:
+                ledger.charge("real-disperse", result.real_stats.rounds)
+            per_vertex = 2 * max(1, load) if dummies_per_vertex is None else dummies_per_vertex
+            _finish_task3(node, statics, load, ledger, per_vertex, real_state, result, numpy)
+    return results
 
 
 def _finish_task3(
     node: HierarchyNode,
-    shuffler: Shuffler,
-    parts: list[list],
-    part_sizes: list[int],
-    t: int,
+    statics: NodeStatics,
     load: int,
     ledger: CostLedger,
     dummies_per_vertex: int,
-    flatten_quality: int,
     real_state: DispersionState,
     result: Task3Result,
+    numpy: bool,
 ) -> None:
     """Steps 2-3 of Task 3 (dummy dispersion + pairing), after the reals moved.
 
-    Shared between :func:`solve_task3` and :func:`solve_task3_many`; the
-    caller holds the ``"task3"`` ledger phase open and has already set (and
-    charged) ``result.real_stats``.
+    The caller holds the ``"task3"`` ledger phase open and has already set
+    (and charged) ``result.real_stats``.
     """
+    parts, part_sizes = statics.parts, statics.part_sizes
+    flatten_quality = statics.flatten_quality
     # -- 2. disperse the dummy tokens -----------------------------------
     dummy_state, result.dummy_stats = _dispersed_dummies(
-        node, shuffler, parts, part_sizes, dummies_per_vertex, flatten_quality
+        node, statics, dummies_per_vertex, numpy
     )
-    if len(shuffler) > 0:
+    if len(node.shuffler) > 0:
         # disperse() would have charged this phase itself had it been
         # handed the ledger; charging here keeps the replay cacheable.
         ledger.charge("dummy-disperse", result.dummy_stats.rounds)
@@ -221,8 +265,9 @@ def _finish_task3(
     # -- 3. pair real and dummy tokens inside every part ----------------
     per_vertex_load: dict[Hashable, int] = {}
     merge_rounds = 0
-    for part_index in range(t):
-        marks_here = set(real_state.queues[part_index].keys())
+    for part_index in range(len(parts)):
+        real_queues = real_state.queues[part_index]
+        dummy_queues = dummy_state.queues[part_index]
         part_load = real_state.part_load(part_index) + dummy_state.part_load(part_index)
         merge_rounds = max(
             merge_rounds,
@@ -232,10 +277,9 @@ def _finish_task3(
                 flatten_quality,
             ),
         )
-        for mark in sorted(marks_here, key=repr):
-            reals = real_state.items(part_index, mark)
-            dummies = dummy_state.items(part_index, mark)
-            for position, token in enumerate(reals):
+        for mark in sorted(real_queues, key=repr):
+            dummies = dummy_queues.get(mark, ())
+            for position, token in enumerate(real_queues[mark]):
                 if position < len(dummies):
                     destination_vertex = dummies[position]
                 else:
@@ -253,87 +297,9 @@ def _finish_task3(
     # Walking each paired token back along the dummy's dispersion route
     # costs one more pass over the shuffler paths.
     walk_back = send_round_cost(
-        max(1, 2 * load), shuffler.quality * max(1, flatten_quality)
+        max(1, 2 * load), statics.shuffler_quality * max(1, flatten_quality)
     )
     merge_rounds += walk_back
     ledger.charge("merge", merge_rounds)
     result.rounds = result.real_stats.rounds + result.dummy_stats.rounds + merge_rounds
     result.max_vertex_load = max(per_vertex_load.values(), default=0)
-
-
-def solve_task3_many(
-    node: HierarchyNode,
-    token_groups: Sequence[Sequence[Token]],
-    loads: Sequence[int],
-    ledgers: Sequence[CostLedger],
-    dummies_per_vertex: int | None = None,
-) -> list[Task3Result]:
-    """Solve one Task 3 instance per token group through a single dispersion.
-
-    The fused twin of calling :func:`solve_task3` once per group: the real
-    tokens of all groups disperse through one batched shuffler replay
-    (:func:`~repro.core.dispersion.disperse_many`), the cached dummy
-    configuration is shared as before, and the pairing, charges, and results
-    per group are identical to the solo runs — each group's rounds land on
-    its own ledger.
-    """
-    if node.shuffler is None:
-        raise RuntimeError("node has no shuffler; run preprocessing before routing queries")
-    shuffler: Shuffler = node.shuffler
-    parts = _part_vertices(node)
-    part_sizes = [len(vertices) for vertices in parts]
-    t = len(parts)
-    part_of = _part_of_vertex(node)
-    flatten_quality = node.flatten_quality()
-
-    results = [Task3Result() for _ in token_groups]
-    if t == 0:
-        return results
-    if t == 1:
-        # Single part: every token already sits in its marked part.
-        for result, tokens in zip(results, token_groups):
-            for token in tokens:
-                result.assignments[token.token_id] = token.current_vertex
-        return results
-
-    real_states: list[DispersionState] = []
-    for tokens in token_groups:
-        real_state = DispersionState(t)
-        for token in tokens:
-            origin_part = part_of.get(token.current_vertex)
-            if origin_part is None:
-                raise ValueError(
-                    f"token {token.token_id} is not located on a vertex of this node"
-                )
-            if token.part_mark is None:
-                raise ValueError(f"token {token.token_id} has no part mark")
-            real_state.add(origin_part, token.part_mark, token)
-        real_states.append(real_state)
-    real_stats_list = disperse_many(
-        real_states, shuffler, part_sizes, list(loads), flatten_quality
-    )
-
-    for index, result in enumerate(results):
-        ledger = ledgers[index]
-        load = loads[index]
-        per_query_dummies = (
-            dummies_per_vertex if dummies_per_vertex is not None else 2 * max(1, load)
-        )
-        with ledger.phase("task3"):
-            result.real_stats = real_stats_list[index]
-            if len(shuffler) > 0:
-                ledger.charge("real-disperse", result.real_stats.rounds)
-            _finish_task3(
-                node,
-                shuffler,
-                parts,
-                part_sizes,
-                t,
-                load,
-                ledger,
-                per_query_dummies,
-                flatten_quality,
-                real_states[index],
-                result,
-            )
-    return results

@@ -17,6 +17,10 @@ destination markers into part marks, solves Task 3 through the node's shuffler
 (dispersion + meet-in-the-middle merge), walks tokens off the bad vertices via
 the precomputed part matchings, and recurses into the children; leaf
 components are finished with the precomputed sorting network (Lemma 6.5).
+The recursion runs as a level-by-level frontier walk: the children of a node
+run on disjoint subgraphs, so every (node, query) entry of a level solves its
+Task 3 in one batched call, while each entry's moves and charges stay those
+of the depth-first recursion.
 """
 
 from __future__ import annotations
@@ -29,7 +33,7 @@ import networkx as nx
 
 from repro.core.cost import CostLedger, send_round_cost, sort_round_cost
 from repro.core.leaf import route_in_leaf
-from repro.core.merge import solve_task3, solve_task3_many
+from repro.core.merge import node_statics, solve_task3, solve_task3_many
 from repro.core.tasks import Task1Instance
 from repro.core.tokens import RoutingRequest, Token, tokens_from_requests
 from repro.cutmatching.game import CutMatchingGame
@@ -38,6 +42,7 @@ from repro.graphs.validation import max_degree, require_connected
 from repro.hierarchy.best import BestVertexIndex, build_best_index, locate_best_rank
 from repro.hierarchy.builder import HierarchyParameters, build_hierarchy
 from repro.hierarchy.node import HierarchicalDecomposition, HierarchyNode
+from repro.kernels import use_numpy
 
 __all__ = ["PreprocessArtifact", "PreprocessSummary", "RoutingOutcome", "ExpanderRouter"]
 
@@ -358,110 +363,39 @@ class ExpanderRouter:
             load: the load parameter ``L``; inferred from the requests when
                 omitted (the doubling trick of Appendix E makes this harmless).
         """
-        if not self.preprocessed:
-            self.preprocess()
-        assert self.decomposition is not None and self.best_index is not None
-
-        tokens = tokens_from_requests(requests)
-        if load is None:
-            source_counts: dict[Hashable, int] = {}
-            destination_counts: dict[Hashable, int] = {}
-            for token in tokens:
-                source_counts[token.source] = source_counts.get(token.source, 0) + 1
-                destination_counts[token.destination] = (
-                    destination_counts.get(token.destination, 0) + 1
-                )
-            load = max(
-                max(source_counts.values(), default=1),
-                max(destination_counts.values(), default=1),
-            )
-        instance = Task1Instance(
-            vertices=sorted(self.graph.nodes()), tokens=tokens, load=load
-        )
-        problems = instance.validate()
-        if problems:
-            raise ValueError("invalid Task 1 instance: " + "; ".join(problems))
-
-        ledger = CostLedger()
-        stats = _QueryStats()
-        with ledger.phase("query"):
-            # Task 1 -> Task 1': translate destination IDs to ranks (one
-            # expander sort over the root, Lemma D.1).
-            root = self.decomposition.root
-            ledger.charge(
-                "id-translation", sort_round_cost(root.size, load, root.flatten_quality())
-            )
-            # Task 1' -> Task 2: delegate each destination to a best vertex.
-            best_index = self.best_index
-            for token in tokens:
-                delegate = best_index.delegate_of[token.destination]
-                token.destination_marker = best_index.rank_of[delegate]
-            self._solve_task2(root, tokens, load, ledger, stats)
-            # Final leg (Appendix D): tokens now sit on the delegated best
-            # vertices; walk them along the reversed all-to-best routes.
-            needs_reversal = [
-                token for token in tokens if token.current_vertex != token.destination
-            ]
-            if needs_reversal:
-                per_best: dict[Hashable, int] = {}
-                for token in needs_reversal:
-                    per_best[token.current_vertex] = per_best.get(token.current_vertex, 0) + 1
-                max_per_best = max(per_best.values(), default=1)
-                reversal_quality = max(
-                    (leaf.flatten_quality() for leaf in self.decomposition.leaves()), default=1
-                )
-                ledger.charge(
-                    "delegation-reversal", send_round_cost(max_per_best, reversal_quality)
-                )
-                for token in needs_reversal:
-                    token.move_to(token.destination, phase="delegation-reversal")
-
-        delivered = sum(1 for token in tokens if token.delivered)
-        return RoutingOutcome(
-            delivered=delivered,
-            total_tokens=len(tokens),
-            query_rounds=ledger.total("query"),
-            preprocessing_rounds=self.preprocess_ledger.total("preprocess"),
-            load=load,
-            max_intermediate_part_load=stats.max_part_load,
-            dispersion_window_fraction=stats.window_fraction(),
-            fallback_assignments=stats.fallbacks,
-            breakdown=ledger.breakdown(),
-            tokens=tokens,
-        )
+        return self._route_groups([requests], [load], use_numpy())[0]
 
     def route_many(
         self,
         request_groups: Sequence[Sequence[RoutingRequest]],
         loads: Sequence[int | None] | None = None,
     ) -> list[RoutingOutcome]:
-        """Answer several routing queries through one fused recursion.
+        """Answer several routing queries through one frontier walk.
 
         The fused twin of calling :meth:`route` once per group: all queries
-        walk the hierarchy together, and at every internal node their Task 3
-        dispersions run as one batched kernel call
-        (:func:`~repro.core.merge.solve_task3_many`) instead of a per-query
-        Python loop.  Every outcome — deliveries, traces, per-phase round
-        breakdowns, diagnostics — is identical to the sequential result;
-        only the wall-clock cost is amortized.  Under the reference kernel
-        (or for a single group) this simply loops over :meth:`route`.
+        walk the hierarchy together, so each level's Task 3 dispersions —
+        queries × sibling clusters — run as one batched kernel call.  Every
+        outcome — deliveries, traces, per-phase round breakdowns,
+        diagnostics — is identical to the sequential result; only the
+        wall-clock cost is amortized.
         """
-        from repro.kernels import use_numpy
-
         if loads is None:
             loads = [None] * len(request_groups)
         if len(loads) != len(request_groups):
             raise ValueError("loads must match request_groups in length")
-        if not use_numpy() or len(request_groups) <= 1:
-            return [
-                self.route(requests, load)
-                for requests, load in zip(request_groups, loads)
-            ]
+        return self._route_groups(request_groups, loads, use_numpy())
+
+    def _route_groups(
+        self,
+        request_groups: Sequence[Sequence[RoutingRequest]],
+        loads: Sequence[int | None],
+        numpy: bool,
+    ) -> list[RoutingOutcome]:
+        """Route every group as its own query; ``numpy`` is the kernel, resolved once."""
         if not self.preprocessed:
             self.preprocess()
         assert self.decomposition is not None and self.best_index is not None
 
-        # Per-query setup, exactly as in route().
         token_groups: list[list[Token]] = []
         resolved_loads: list[int] = []
         for requests, load in zip(request_groups, loads):
@@ -478,9 +412,7 @@ class ExpanderRouter:
                     max(source_counts.values(), default=1),
                     max(destination_counts.values(), default=1),
                 )
-            instance = Task1Instance(
-                vertices=sorted(self.graph.nodes()), tokens=tokens, load=load
-            )
+            instance = Task1Instance(vertices=sorted(self.graph.nodes()), tokens=tokens, load=load)
             problems = instance.validate()
             if problems:
                 raise ValueError("invalid Task 1 instance: " + "; ".join(problems))
@@ -491,270 +423,180 @@ class ExpanderRouter:
         stats_list = [_QueryStats() for _ in token_groups]
         root = self.decomposition.root
         best_index = self.best_index
-        id_translation_by_load: dict[int, int] = {}
         with ExitStack() as stack:
             for ledger in ledgers:
                 stack.enter_context(ledger.phase("query"))
-            for index, tokens in enumerate(token_groups):
-                load = resolved_loads[index]
-                if load not in id_translation_by_load:
-                    id_translation_by_load[load] = sort_round_cost(
-                        root.size, load, root.flatten_quality()
-                    )
-                ledgers[index].charge("id-translation", id_translation_by_load[load])
+            roots = []
+            for tokens, load, ledger, stats in zip(
+                token_groups, resolved_loads, ledgers, stats_list
+            ):
+                # Task 1 -> Task 1': translate destination IDs to ranks (one
+                # expander sort over the root, Lemma D.1).
+                ledger.charge(
+                    "id-translation", sort_round_cost(root.size, load, root.flatten_quality())
+                )
+                # Task 1' -> Task 2: delegate each destination to a best vertex.
                 for token in tokens:
                     delegate = best_index.delegate_of[token.destination]
                     token.destination_marker = best_index.rank_of[delegate]
-            self._solve_task2_many(
-                root,
-                [
-                    (index, tokens)
-                    for index, tokens in enumerate(token_groups)
-                    if tokens
-                ],
-                resolved_loads,
-                ledgers,
-                stats_list,
-            )
-            for index, tokens in enumerate(token_groups):
-                needs_reversal = [
-                    token for token in tokens if token.current_vertex != token.destination
-                ]
-                if needs_reversal:
-                    per_best: dict[Hashable, int] = {}
-                    for token in needs_reversal:
-                        per_best[token.current_vertex] = (
-                            per_best.get(token.current_vertex, 0) + 1
-                        )
-                    max_per_best = max(per_best.values(), default=1)
-                    reversal_quality = max(
-                        (leaf.flatten_quality() for leaf in self.decomposition.leaves()),
-                        default=1,
-                    )
-                    ledgers[index].charge(
-                        "delegation-reversal",
-                        send_round_cost(max_per_best, reversal_quality),
-                    )
-                    for token in needs_reversal:
-                        token.move_to(token.destination, phase="delegation-reversal")
+                if tokens:
+                    roots.append(_Entry(root, tokens, load, ledger, stats))
+            self._solve_task2(roots, numpy)
+            # Final leg (Appendix D): tokens now sit on the delegated best
+            # vertices; walk them along the reversed all-to-best routes.
+            for tokens, ledger in zip(token_groups, ledgers):
+                needs_reversal = [t for t in tokens if t.current_vertex != t.destination]
+                if not needs_reversal:
+                    continue
+                per_best: dict[Hashable, int] = {}
+                for token in needs_reversal:
+                    per_best[token.current_vertex] = per_best.get(token.current_vertex, 0) + 1
+                max_per_best = max(per_best.values(), default=1)
+                reversal_quality = max(
+                    (leaf.flatten_quality() for leaf in self.decomposition.leaves()), default=1
+                )
+                ledger.charge(
+                    "delegation-reversal", send_round_cost(max_per_best, reversal_quality)
+                )
+                for token in needs_reversal:
+                    token.move_to(token.destination, phase="delegation-reversal")
 
         preprocessing_rounds = self.preprocess_ledger.total("preprocess")
         return [
             RoutingOutcome(
                 delivered=sum(1 for token in tokens if token.delivered),
                 total_tokens=len(tokens),
-                query_rounds=ledgers[index].total("query"),
+                query_rounds=ledger.total("query"),
                 preprocessing_rounds=preprocessing_rounds,
-                load=resolved_loads[index],
-                max_intermediate_part_load=stats_list[index].max_part_load,
-                dispersion_window_fraction=stats_list[index].window_fraction(),
-                fallback_assignments=stats_list[index].fallbacks,
-                breakdown=ledgers[index].breakdown(),
+                load=load,
+                max_intermediate_part_load=stats.max_part_load,
+                dispersion_window_fraction=stats.window_fraction(),
+                fallback_assignments=stats.fallbacks,
+                breakdown=ledger.breakdown(),
                 tokens=tokens,
             )
-            for index, tokens in enumerate(token_groups)
+            for tokens, load, ledger, stats in zip(
+                token_groups, resolved_loads, ledgers, stats_list
+            )
         ]
 
-    # -- the Task 2 recursion ---------------------------------------------------
+    # -- the Task 2 recursion, one frontier level at a time -----------------------
 
-    def _solve_task2_many(
-        self,
-        node: HierarchyNode,
-        groups: list[tuple[int, list[Token]]],
-        loads: Sequence[int],
-        ledgers: Sequence[CostLedger],
-        stats_list: Sequence["_QueryStats"],
-    ) -> None:
-        """Fused :meth:`_solve_task2`: every query's tokens walk ``node`` together.
+    def _solve_task2(self, frontier: list["_Entry"], numpy: bool) -> None:
+        """Deliver each entry's tokens to its node's marker-th best vertex (Definition 4.2).
 
-        ``groups`` carries ``(query_index, tokens)`` pairs with non-empty
-        token lists; ``loads``/``ledgers``/``stats_list`` are indexed by the
-        query index.  Per query, the moves and charges are exactly those of
-        the solo recursion — queries never interact (tokens, ledgers, and
-        diagnostics are all per-query; the shared node-level caches are
-        deterministic pure functions of the node), the batching only stacks
-        the Task 3 dispersions into single kernel calls.
+        Walks the hierarchy level by level.  A level's frontier holds every
+        (node, query) entry with tokens; its Task 3 instances — queries ×
+        sibling clusters — are solved in one batched call.  Per entry, the
+        moves and charges are exactly those of a depth-first recursion:
+        entries never share tokens, ledgers, or diagnostics, and the shared
+        node caches are pure functions of the artifact.
         """
-        if not groups:
-            return
-        if node.is_leaf:
-            for index, tokens in groups:
-                result = route_in_leaf(node, tokens, loads[index], ledgers[index])
-                for token in tokens:
-                    token.move_to(result.placements[token.token_id], phase="leaf")
-            return
+        levels: list[list[_Entry]] = []
+        while frontier:
+            levels.append(frontier)
+            inner: list[_Entry] = []
+            for entry in frontier:
+                if entry.node.is_leaf:
+                    result = route_in_leaf(entry.node, entry.tokens, entry.load, entry.ledger)
+                    for token in entry.tokens:
+                        token.move_to(result.placements[token.token_id], phase="leaf")
+                else:
+                    inner.append(entry)
+            if not inner:
+                break
 
-        # Rewrite destination markers into (part mark, next-level marker).
-        next_marker: dict[int, dict[int, int]] = {}
-        for index, tokens in groups:
-            markers = next_marker[index] = {}
-            for token in tokens:
-                marker = token.destination_marker
-                if marker is None:
-                    raise ValueError(f"token {token.token_id} has no destination marker")
-                part_index, remainder = locate_best_rank(node, marker)
-                token.part_mark = part_index
-                markers[token.token_id] = remainder
-
-        # Task 3, batched: one dispersion kernel call for every query at once.
-        task3_results = solve_task3_many(
-            node,
-            [tokens for _, tokens in groups],
-            [loads[index] for index, _ in groups],
-            [ledgers[index] for index, _ in groups],
-        )
-        for (index, tokens), task3 in zip(groups, task3_results):
-            stats_list[index].absorb_task3(task3)
-            for token in tokens:
-                if token.token_id in task3.assignments:
-                    token.move_to(
-                        task3.assignments[token.token_id], phase=f"task3-L{node.level}"
+            # Rewrite destination markers into (part mark, next-level marker).
+            statics = [node_statics(entry.node, numpy) for entry in inner]
+            for entry, static in zip(inner, statics):
+                for token in entry.tokens:
+                    marker = token.destination_marker
+                    if marker is None:
+                        raise ValueError(f"token {token.token_id} has no destination marker")
+                    token.part_mark, entry.next_marker[token.token_id] = locate_best_rank(
+                        entry.node, marker, static.best_counts
                     )
 
-        # Property 3.1(3): walk tokens off the bad vertices into the good child.
-        matching_quality = max(1, node.part_matching_embedding.quality) * max(
-            1, node.flatten_quality()
-        )
-        for index, tokens in groups:
-            moved_off_bad = 0
-            for part in node.parts:
-                if not part.bad_vertices:
-                    continue
+            # Task 3: deliver every token to a vertex of its marked part.  The
+            # reference kernel, the oracle, solves the entries one at a time.
+            if numpy:
+                results = solve_task3_many(
+                    [(e.node, e.tokens, e.load, e.ledger) for e in inner], numpy=True
+                )
+            else:
+                results = [
+                    solve_task3(e.node, e.tokens, e.load, e.ledger, numpy=False) for e in inner
+                ]
+
+            frontier = []
+            for entry, static, task3 in zip(inner, statics, results):
+                node, tokens = entry.node, entry.tokens
+                entry.stats.absorb_task3(task3)
                 for token in tokens:
-                    if (
-                        token.part_mark == part.index
-                        and token.current_vertex in part.bad_vertices
-                    ):
+                    if token.token_id in task3.assignments:
+                        token.move_to(
+                            task3.assignments[token.token_id], phase=f"task3-L{node.level}"
+                        )
+
+                # Property 3.1(3): walk tokens off the bad vertices into the good child.
+                moved_off_bad = 0
+                bad_parts = {part.index: part for part in node.parts if part.bad_vertices}
+                for token in tokens:
+                    part = bad_parts.get(token.part_mark)
+                    if part is not None and token.current_vertex in part.bad_vertices:
                         mate = part.matching.get(token.current_vertex)
                         if mate is None:
                             mate = min(part.good_vertices)
                         token.move_to(mate, phase=f"bad-to-good-L{node.level}")
                         moved_off_bad += 1
-            if moved_off_bad:
-                ledgers[index].charge(
-                    f"bad-to-good-L{node.level}",
-                    send_round_cost(2 * loads[index], matching_quality),
-                )
+                if moved_off_bad:
+                    entry.ledger.charge(
+                        f"bad-to-good-L{node.level}",
+                        send_round_cost(2 * entry.load, static.matching_quality),
+                    )
 
-        # Recurse into every part's good child, all queries together.  The
-        # children run on disjoint subgraphs (per query, the level costs its
-        # slowest child), so per query we charge the max child-ledger total —
-        # identical to the solo recursion's accounting.
-        tokens_by_part: dict[int, dict[int, list[Token]]] = {}
-        for index, tokens in groups:
-            by_part = tokens_by_part[index] = {}
-            for token in tokens:
-                by_part.setdefault(token.part_mark, []).append(token)
-        child_costs: dict[int, list[int]] = {index: [] for index, _ in groups}
-        child_loads = list(loads)
-        for index, _ in groups:
-            child_loads[index] = 4 * loads[index]
-        for part in node.parts:
-            child = part.child
-            if child is None:
-                continue
-            child_groups: list[tuple[int, list[Token]]] = []
-            child_ledgers: dict[int, CostLedger] = {}
-            for index, _ in groups:
-                child_tokens = tokens_by_part[index].get(part.index, [])
-                if not child_tokens:
-                    continue
-                for token in child_tokens:
-                    token.destination_marker = next_marker[index][token.token_id]
-                child_groups.append((index, child_tokens))
-                child_ledgers[index] = CostLedger()
-            if not child_groups:
-                continue
-            ledger_vector = [
-                child_ledgers.get(index, ledgers[index]) for index in range(len(ledgers))
-            ]
-            self._solve_task2_many(child, child_groups, child_loads, ledger_vector, stats_list)
-            for index, _ in child_groups:
-                child_costs[index].append(child_ledgers[index].total())
-        for index, _ in groups:
-            if child_costs[index]:
-                ledgers[index].charge(f"children-L{node.level + 1}", max(child_costs[index]))
+                # Every part's good child with tokens joins the next level with
+                # the rewritten markers and load 4L.  Group first: the next
+                # level rewrites part marks again.
+                tokens_by_part: dict[int, list[Token]] = {}
+                for token in tokens:
+                    tokens_by_part.setdefault(token.part_mark, []).append(token)
+                for part in node.parts:
+                    child_tokens = tokens_by_part.get(part.index)
+                    if part.child is None or not child_tokens:
+                        continue
+                    for token in child_tokens:
+                        token.destination_marker = entry.next_marker[token.token_id]
+                    child = _Entry(
+                        part.child, child_tokens, 4 * entry.load, CostLedger(), entry.stats
+                    )
+                    entry.children.append(child)
+                    frontier.append(child)
 
-    def _solve_task2(
-        self,
-        node: HierarchyNode,
-        tokens: Sequence[Token],
-        load: int,
-        ledger: CostLedger,
-        stats: "_QueryStats",
-    ) -> None:
-        """Deliver each token to the node's marker-th best vertex (Definition 4.2)."""
-        if not tokens:
-            return
-        if node.is_leaf:
-            result = route_in_leaf(node, tokens, load, ledger)
-            for token in tokens:
-                token.move_to(result.placements[token.token_id], phase="leaf")
-            return
+        # The children run on disjoint subgraphs and therefore in parallel in
+        # CONGEST; a level costs as much as its slowest child (this is why
+        # Theorem 6.8's recurrence has a single T2(6|X|/k, 4L) term), so each
+        # entry is charged the maximum child cost, deepest level first.
+        for level in reversed(levels):
+            for entry in level:
+                if entry.children:
+                    entry.ledger.charge(
+                        f"children-L{entry.node.level + 1}",
+                        max(child.ledger.total() for child in entry.children),
+                    )
 
-        # Rewrite destination markers into (part mark, next-level marker).
-        next_marker: dict[int, int] = {}
-        for token in tokens:
-            marker = token.destination_marker
-            if marker is None:
-                raise ValueError(f"token {token.token_id} has no destination marker")
-            part_index, remainder = locate_best_rank(node, marker)
-            token.part_mark = part_index
-            next_marker[token.token_id] = remainder
 
-        # Task 3: deliver every token to a vertex of its marked part.
-        task3 = solve_task3(node, tokens, load, ledger)
-        stats.absorb_task3(task3)
-        for token in tokens:
-            if token.token_id in task3.assignments:
-                token.move_to(task3.assignments[token.token_id], phase=f"task3-L{node.level}")
+@dataclass
+class _Entry:
+    """One (node, query) Task 2 instance of the frontier walk."""
 
-        # Property 3.1(3): walk tokens off the bad vertices into the good child.
-        matching_quality = max(1, node.part_matching_embedding.quality) * max(
-            1, node.flatten_quality()
-        )
-        moved_off_bad = 0
-        for part in node.parts:
-            if not part.bad_vertices:
-                continue
-            for token in tokens:
-                if token.part_mark == part.index and token.current_vertex in part.bad_vertices:
-                    mate = part.matching.get(token.current_vertex)
-                    if mate is None:
-                        mate = min(part.good_vertices)
-                    token.move_to(mate, phase=f"bad-to-good-L{node.level}")
-                    moved_off_bad += 1
-        if moved_off_bad:
-            ledger.charge(
-                f"bad-to-good-L{node.level}",
-                send_round_cost(2 * load, matching_quality),
-            )
-
-        # Recurse into every part's good child with the rewritten markers.
-        # Group before recursing: the recursive calls rewrite part marks for
-        # their own level, so re-filtering inside the loop would double-route.
-        # The children's instances run on disjoint subgraphs and therefore in
-        # parallel in CONGEST; the level costs as much as its slowest child
-        # (this is why Theorem 6.8's recurrence has a single T2(6|X|/k, 4L)
-        # term), so we charge the maximum child cost, not the sum.
-        tokens_by_part: dict[int, list[Token]] = {}
-        for token in tokens:
-            tokens_by_part.setdefault(token.part_mark, []).append(token)
-        child_costs: list[int] = []
-        for part in node.parts:
-            child = part.child
-            if child is None:
-                continue
-            child_tokens = tokens_by_part.get(part.index, [])
-            if not child_tokens:
-                continue
-            for token in child_tokens:
-                token.destination_marker = next_marker[token.token_id]
-            child_ledger = CostLedger()
-            self._solve_task2(child, child_tokens, 4 * load, child_ledger, stats)
-            child_costs.append(child_ledger.total())
-        if child_costs:
-            ledger.charge(f"children-L{node.level + 1}", max(child_costs))
+    node: HierarchyNode
+    tokens: list[Token]
+    load: int
+    ledger: CostLedger
+    stats: "_QueryStats"
+    next_marker: dict[int, int] = field(default_factory=dict)
+    children: list["_Entry"] = field(default_factory=list)
 
 
 class _QueryStats:

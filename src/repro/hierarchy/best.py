@@ -84,31 +84,25 @@ def best_counts_per_part(node: HierarchyNode) -> list[int]:
     Together with Property 3.1(1) (parts are ID-contiguous and best vertices
     inherit that order) this is exactly the information a vertex needs to
     rewrite a destination marker ``i_z`` into ``(j_z, i'_z)`` at query time.
+    The query recursion reads it through the node statics of
+    :mod:`repro.core.merge`, which cache it under the numpy kernel.
     """
-    from repro.kernels import use_numpy
-
-    if use_numpy():
-        cached = getattr(node, "_best_counts_cache", None)
-        if cached is None:
-            cached = node._best_counts_cache = [
-                len(part.child.best_vertices()) if part.child is not None else 0
-                for part in node.parts
-            ]
-        return cached
-    counts: list[int] = []
-    for part in node.parts:
-        child = part.child
-        counts.append(len(child.best_vertices()) if child is not None else 0)
-    return counts
+    return [
+        len(part.child.best_vertices()) if part.child is not None else 0 for part in node.parts
+    ]
 
 
-def locate_best_rank(node: HierarchyNode, marker: int) -> tuple[int, int]:
+def locate_best_rank(
+    node: HierarchyNode, marker: int, counts: list[int] | None = None
+) -> tuple[int, int]:
     """Rewrite a destination marker at an internal node (Section 4).
 
     Returns ``(j_z, i'_z)``: the index of the part containing the ``marker``-th
-    best vertex of ``node`` and the marker relative to that part.
+    best vertex of ``node`` and the marker relative to that part.  ``counts``
+    is :func:`best_counts_per_part` of ``node`` when the caller has it.
     """
-    counts = best_counts_per_part(node)
+    if counts is None:
+        counts = best_counts_per_part(node)
     remaining = marker
     for index, count in enumerate(counts):
         if remaining < count:

@@ -17,7 +17,9 @@ The reproduction has two implementations of every hot inner loop:
 
 Selection: the ``REPRO_KERNEL`` environment variable (read lazily, so tests
 and the harness can flip it), or programmatically via :func:`set_kernel` /
-the :func:`kernel` context manager, which override the environment.
+the :func:`kernel` context manager, which override the environment.  A query
+resolves the kernel once: ``ExpanderRouter.route`` / ``route_many`` read it at
+entry and pass it down the whole recursion.
 """
 
 from __future__ import annotations

@@ -1,208 +1,50 @@
-"""Fused cross-query batch kernels — one stacked call for many queries.
+"""Fused batch kernels — one stacked call for many independent instances.
 
-The numpy kernels of :mod:`repro.kernels.dispersion` and
-:mod:`repro.kernels.scheduler` removed the per-*token* Python loops, but the
-serving layer still ran one full kernel invocation per query: a warm batch of
-``B`` same-graph queries paid ``B`` times the fixed per-call cost (counts
-matrix setup, per-origin partner loops, the scheduler's round loop).  This
-module gives those kernels a *batch axis*:
+The serving layer answers many queries per batch and the query recursion
+visits many sibling clusters per level; paying one full kernel invocation per
+instance would pay the fixed per-call cost (array setup, planner calls, the
+scheduler's round loop) once per instance.  This module gives those kernels
+an *entry axis*:
 
-* :func:`plan_transfers_batched` plans one shuffler iteration for ``B``
-  dispersion states at once — the counts matrix grows a leading batch
-  dimension and the largest-remainder rounding, tie-breaking, and emission
-  order are reproduced per batch entry bit for bit (the batch index becomes
-  the outermost ``lexsort`` key, so each entry's block orders exactly as the
-  single-query kernel orders it);
-* :func:`disperse_many_numpy` replays a whole shuffler on ``B`` states with
-  one planning pass per matching, using a *union* mark axis.  Marks a state
-  does not hold occupy all-zero columns, and zero columns are inert under the
-  rounding rule (zero amounts, zero floors, zero remainders — bumps are
-  confined to each ``(batch, mark)`` block), so every state's transfers,
-  statistics, and charged rounds are identical to a solo
-  :func:`~repro.kernels.dispersion.disperse_numpy` run;
+* :func:`disperse_many_numpy` replays shuffler dispersions for every entry of
+  a frontier level — queries × sibling clusters, each with its own shuffler,
+  part count, marks, and shuffler length — through the one padded planner of
+  :mod:`repro.kernels.dispersion`, one planning pass per iteration over the
+  block-diagonal union of the entries' parts;
 * :func:`schedule_token_batches_numpy` resolves edge conflicts for ``B``
   independent scheduler instances in a single pending loop — per-batch edge
   codes are offset into disjoint ranges, so the one ``np.unique`` winner
   scan per round settles every batch's contested edges simultaneously.
 
-``tests/test_fused.py`` asserts the equivalences with hypothesis over random
-expanders and the workload catalog.
+Every entry's results are identical to a solo run; ``tests/test_fused.py``
+asserts the equivalences with hypothesis over random expanders, heterogeneous
+dispersion jobs, and the workload catalog.
 """
 
 from __future__ import annotations
 
-import math
 from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.congest.scheduler import ScheduledToken, ScheduleResult
-    from repro.core.dispersion import DispersionState, DispersionStats
-    from repro.cutmatching.shuffler import Shuffler
+    from repro.core.dispersion import DispersionJob, DispersionStats
 
-__all__ = [
-    "plan_transfers_batched",
-    "disperse_many_numpy",
-    "schedule_token_batches_numpy",
-]
+__all__ = ["disperse_many_numpy", "schedule_token_batches_numpy"]
 
 
-def plan_transfers_batched(counts: np.ndarray, matching) -> list[list[tuple[int, int, int, int]]]:
-    """One iteration's transfers for every batch entry at once.
+def disperse_many_numpy(jobs: Sequence["DispersionJob"]) -> list["DispersionStats"]:
+    """Replay every job's shuffler with one planning pass per iteration.
 
-    Args:
-        counts: int64 array of shape ``(B, t, m)`` — per batch entry, the
-            per-(part, mark) token counts snapshot.
-        matching: the shuffler matching being replayed.
-
-    Returns:
-        Per batch entry, the ``(origin, target, mark_index, amount)`` list in
-        exactly the order :func:`repro.kernels.dispersion._plan_transfers`
-        produces for that entry's counts alone.
+    The entry axis spans queries × sibling clusters: jobs may come from
+    different nodes, with different part counts, marks, and shuffler lengths.
+    Token movements, statistics, and round counts per job are identical to a
+    solo :func:`~repro.kernels.dispersion.disperse_numpy` run.
     """
-    from repro.kernels.dispersion import _partner_table
+    from repro.kernels.dispersion import replay_shufflers
 
-    batch = counts.shape[0]
-    transfers: list[list[tuple[int, int, int, int]]] = [[] for _ in range(batch)]
-    for origin, (half_values, targets, target_order, sorted_targets) in _partner_table(
-        matching
-    ).items():
-        rows = counts[:, origin, :]
-        if targets.size == 1:
-            # One partner: allocation is the plain floor (see the solo kernel).
-            allocation = np.floor(half_values[0] * rows).astype(np.int64)
-            target = int(targets[0])
-            for entry, mark_index in np.argwhere(allocation > 0):
-                transfers[entry].append(
-                    (origin, target, int(mark_index), int(allocation[entry, mark_index]))
-                )
-            continue
-
-        group_size = targets.size
-        mark_count = rows.shape[1]
-        amounts = half_values[None, :, None] * rows[:, None, :]
-        floors = np.floor(amounts)
-        allocation = floors.astype(np.int64)
-        # Sequential accumulation over partners, matching the reference's
-        # builtins.sum order bit for bit (independent per batch entry).
-        totals = amounts[:, 0, :].copy()
-        for i in range(1, group_size):
-            totals += amounts[:, i, :]
-        budget = np.minimum(rows, np.floor(totals).astype(np.int64))
-        remaining = budget - allocation.sum(axis=1)
-        if (remaining > 0).any():
-            fractions = amounts - floors
-            # The batch index is the outermost lexsort key: within one
-            # entry's block the order is exactly the solo kernel's
-            # (mark, -fraction, target) order.
-            mark_key = np.tile(np.repeat(np.arange(mark_count), group_size), batch)
-            batch_key = np.repeat(np.arange(batch), mark_count * group_size)
-            fraction_key = fractions.transpose(0, 2, 1).ravel()
-            target_key = np.tile(targets, batch * mark_count)
-            order = np.lexsort((target_key, -fraction_key, mark_key, batch_key))
-            position_in_mark = np.arange(batch * mark_count * group_size) % group_size
-            bump = position_in_mark < np.repeat(remaining.ravel(), group_size)
-            flat = allocation.transpose(0, 2, 1).copy().ravel()
-            flat[order[bump]] += 1
-            allocation = flat.reshape(batch, mark_count, group_size).transpose(0, 2, 1)
-        emitted = allocation[:, target_order, :]
-        for entry, mark_index, target_position in np.argwhere(emitted.transpose(0, 2, 1) > 0):
-            transfers[entry].append(
-                (
-                    origin,
-                    int(sorted_targets[target_position]),
-                    int(mark_index),
-                    int(emitted[entry, target_position, mark_index]),
-                )
-            )
-    return transfers
-
-
-def disperse_many_numpy(
-    states: Sequence["DispersionState"],
-    shuffler: "Shuffler",
-    part_sizes,
-    flatten_quality: int,
-) -> list["DispersionStats"]:
-    """Replay the shuffler on every state with one planning pass per matching.
-
-    Token movements, statistics, and round counts per state are identical to
-    calling :func:`~repro.kernels.dispersion.disperse_numpy` on each state
-    alone; the batching only amortizes the per-iteration planning work.
-    """
-    from repro.core.cost import send_round_cost, sort_round_cost
-    from repro.core.dispersion import DispersionStats
-
-    batch = len(states)
-    if batch == 0:
-        return []
-    t = states[0].part_count
-
-    own_marks = [state.marks() for state in states]
-    union_marks = sorted(set().union(*[set(marks) for marks in own_marks]), key=repr)
-    mark_column = {mark: column for column, mark in enumerate(union_marks)}
-    counts = np.zeros((batch, t, max(len(union_marks), 1)), dtype=np.int64)
-    for entry, state in enumerate(states):
-        for part, per_mark in state.queues.items():
-            for mark, items in per_mark.items():
-                if items:
-                    counts[entry, part, mark_column[mark]] = len(items)
-
-    stats_list = [DispersionStats() for _ in range(batch)]
-    max_part_size = max(part_sizes) if part_sizes else 1
-    part_of = shuffler.part_of
-    rounds = [0] * batch
-    for matching in shuffler.matchings:
-        planned = (
-            plan_transfers_batched(counts, matching)
-            if union_marks
-            else [[] for _ in range(batch)]
-        )
-        for entry, state in enumerate(states):
-            stats = stats_list[entry]
-            stats.iterations += 1
-            outgoing: dict[tuple[int, int], int] = {}
-            for origin, target, mark_index, amount in planned[entry]:
-                mark = union_marks[mark_index]
-                items = state.pop_front(origin, mark, amount)
-                state.push_back(target, mark, items)
-                moved = len(items)
-                counts[entry, origin, mark_index] -= moved
-                counts[entry, target, mark_index] += moved
-                outgoing[(origin, target)] = outgoing.get((origin, target), 0) + moved
-
-            # -- round accounting for this iteration (Lemma 6.7) -------------
-            current_max_load = int(counts[entry].sum(axis=1).max(initial=0))
-            stats.max_part_load = max(stats.max_part_load, current_max_load)
-            per_part_load = max(1, math.ceil(current_max_load / max(1, max_part_size)))
-            portal_sort = sort_round_cost(max_part_size, per_part_load, flatten_quality)
-            tokens_per_portal = 1
-            for (origin, target), amount in outgoing.items():
-                portal_pairs = max(1, matching.portal_pair_count(part_of, origin, target))
-                tokens_per_portal = max(tokens_per_portal, math.ceil(amount / portal_pairs))
-            send = send_round_cost(tokens_per_portal, matching.quality * max(1, flatten_quality))
-            rounds[entry] += portal_sort + send
-
-    # -- Definition 6.1 window check, per state over its own marks -------------
-    total_vertices = sum(part_sizes) if part_sizes else t
-    for entry, state in enumerate(states):
-        stats = stats_list[entry]
-        stats.rounds = rounds[entry]
-        for mark in own_marks[entry]:
-            column = mark_column[mark]
-            total = int(counts[entry, :, column].sum())
-            stats.mark_totals[mark] = total
-            lower = 0.9 * total / t - 0.1 * total_vertices / (t * t)
-            upper = 1.1 * total / t + 0.1 * total_vertices / (t * t)
-            slack = stats.iterations * 1.0
-            for part in range(t):
-                count = int(counts[entry, part, column])
-                stats.final_counts[(part, mark)] = count
-                stats.total_cells += 1
-                if lower - slack <= count <= upper + slack:
-                    stats.within_window += 1
-    return stats_list
+    return replay_shufflers(jobs)
 
 
 def _interned_paths(tokens: Sequence["ScheduledToken"]):

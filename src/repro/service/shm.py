@@ -158,33 +158,22 @@ class _ArtifactPickler(pickle.Pickler):
 
 
 def _prewarm(artifact: Any) -> None:
-    """Materialize the deterministic numpy-mode caches before flattening.
+    """Build every shuffler's padded dispersion table before flattening.
 
-    Partner tables, sorted-part caches, and the dummy-dispersion replay are
-    pure functions of the artifact; building them on the publisher side turns
+    The tables (:func:`repro.kernels.dispersion.shuffler_table`) are pure
+    functions of the artifact; building them on the publisher side turns
     them into shared out-of-band arrays every attaching worker reuses instead
-    of recomputing per process.
+    of recomputing per process.  The reference kernel reads no tables.
     """
-    try:
-        from repro.kernels import use_numpy
-        from repro.kernels.dispersion import _partner_table
+    from repro.kernels import use_numpy
+    from repro.kernels.dispersion import shuffler_table
 
-        if not use_numpy():
-            return
-        decomposition = getattr(artifact, "decomposition", None)
-        if decomposition is None:
-            return
-        for node in decomposition.all_nodes():
-            shuffler = getattr(node, "shuffler", None)
-            if shuffler is None:
-                continue
-            for matching in shuffler.matchings:
-                _partner_table(matching)
-                matching.sorted_fractional()
-    except Exception:
-        # Pre-warming is a best-effort optimization; publishing an artifact
-        # without warmed caches is still correct.
-        pass
+    decomposition = getattr(artifact, "decomposition", None)
+    if decomposition is None or not use_numpy():
+        return
+    for node in decomposition.all_nodes():
+        if node.shuffler is not None:
+            shuffler_table(node.shuffler)
 
 
 def flatten_artifact(artifact: Any, prewarm: bool = True) -> tuple[bytes, list[memoryview]]:

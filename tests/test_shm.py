@@ -14,10 +14,13 @@ from __future__ import annotations
 import random
 
 import networkx as nx
+import numpy as np
 import pytest
 
 from repro.core.router import ExpanderRouter
 from repro.core.tokens import RoutingRequest
+from repro.kernels import kernel
+from repro.kernels.dispersion import shuffler_table
 from repro.metrics import MetricsRegistry
 from repro.planner import ExecutionPlan
 from repro.service import RoutingService, leaked_segments, shm_available, shm_enabled
@@ -69,6 +72,27 @@ def test_flatten_unflatten_round_trip(artifact):
     assert clone.fingerprint == artifact.fingerprint
     assert clone.epsilon == artifact.epsilon
     assert _route_facts(clone) == _route_facts(artifact)
+
+
+def test_flatten_carries_the_prewarmed_dispersion_tables():
+    """Attaching workers reuse the publisher's shuffler tables, not rebuild them."""
+    graph = nx.random_regular_graph(4, 48, seed=9)
+    router = ExpanderRouter(graph, epsilon=0.5)
+    router.preprocess()
+    fresh = router.export_artifact()
+    shufflers = [node.shuffler for node in fresh.decomposition.all_nodes() if node.shuffler]
+    assert shufflers
+    assert not any("_padded_table" in vars(shuffler) for shuffler in shufflers)
+    with kernel("numpy"):
+        skeleton, buffers = flatten_artifact(fresh)
+    clone = unflatten_artifact(skeleton, buffers)
+    cloned = [node.shuffler for node in clone.decomposition.all_nodes() if node.shuffler]
+    assert len(cloned) == len(shufflers)
+    for original, copy in zip(shufflers, cloned):
+        carried = vars(copy).get("_padded_table")
+        assert carried is not None
+        for expected, got in zip(shuffler_table(original), carried):
+            np.testing.assert_array_equal(expected, got)
 
 
 def test_publish_attach_round_trip(artifact):
