@@ -54,14 +54,12 @@ from repro.metrics import MetricsRegistry, default_registry
 from repro.net import address as net_address
 from repro.net.frames import NetInstruments, recv_frame, send_frame
 from repro.net.resilience import CircuitBreaker, CircuitOpenError, RetryPolicy
-from repro.wire.codec import WireDecodeError, codec_id, supported_codec_names
+from repro.wire.codec import WireDecodeError
 from repro.wire.messages import (
     DispatchDoneReply,
     DispatchRequest,
     DispatchShardReply,
     ErrorReply,
-    Hello,
-    HelloReply,
     NeedGraphReply,
     Ping,
     Pong,
@@ -69,9 +67,9 @@ from repro.wire.messages import (
     StatsRequest,
     SubmitReply,
     SubmitRequest,
-    WireGraph,
     WireMessage,
     WireRequest,
+    wire_graph_of,
 )
 from repro.service.service import BatchReport
 from repro.workloads import Workload
@@ -168,12 +166,6 @@ class ClusterClient:
         self._lock = threading.Lock()
         self._closed = False
         self._sock = None
-        # Negotiated per connection by the hello handshake; reset on drop.
-        self._codec: int | None = None
-        self._features: tuple = ()
-        self._hello_pending = False
-        # Graphs are replayed query after query; encode each object once.
-        self._graph_cache: dict[int, tuple[nx.Graph, WireGraph]] = {}
         # Auto idempotency keys: unique across client instances (the
         # coordinator's key space outlives any one gateway or client).
         self._key_nonce = uuid.uuid4().hex[:12]
@@ -185,18 +177,7 @@ class ClusterClient:
     # -- plumbing --------------------------------------------------------------
 
     def _ensure_connected(self) -> None:
-        """Connect if needed (caller holds the lock); breaker-gated.
-
-        Every fresh connection opens with a **pipelined** hello handshake:
-        the client sends its codecs and features and keeps going — the
-        server's answer is consumed by :meth:`_recv` just before the next
-        real reply (frames are answered in order), so the handshake costs
-        zero round trips and never blocks ahead of hedging or retries.  A
-        server that answers ``ErrorReply(code="unsupported")`` predates the
-        handshake — the client silently keeps the JSON/full-payload
-        defaults, which every server version accepts (rolling-upgrade
-        tolerance in both directions).
-        """
+        """Connect if needed (caller holds the lock); breaker-gated."""
         if self._sock is not None:
             return
         if not self._breaker.allow():
@@ -209,19 +190,6 @@ class ClusterClient:
             self._breaker.record_failure()
             raise
         self._instruments.connection_opened()
-        self._codec = None
-        self._features = ()
-        try:
-            send_frame(
-                self._sock,
-                Hello(codecs=supported_codec_names(), features=("need-graph",)),
-                instruments=self._instruments,
-            )
-        except (ConnectionError, OSError):
-            self._breaker.record_failure()
-            self._drop_connection_locked()
-            raise
-        self._hello_pending = True
 
     def _drop_connection_locked(self) -> None:
         if self._sock is None:
@@ -231,49 +199,13 @@ class ClusterClient:
         except OSError:
             pass
         self._sock = None
-        self._codec = None
-        self._features = ()
-        self._hello_pending = False
         self._instruments.connection_closed()
 
     def _recv(self) -> WireMessage:
         reply = recv_frame(self._sock, instruments=self._instruments)
         if reply is None:
             raise ConnectionError("the gateway closed the connection")
-        if self._hello_pending:
-            # The first reply on a fresh connection answers the pipelined
-            # hello: adopt what a new server negotiated, shrug off an old
-            # server's ErrorReply, then read the actual reply behind it.
-            self._hello_pending = False
-            if isinstance(reply, HelloReply):
-                self._codec = codec_id(reply.codec)
-                self._features = tuple(reply.features)
-            elif not isinstance(reply, ErrorReply):
-                return reply  # a server that ignored the hello outright
-            reply = recv_frame(self._sock, instruments=self._instruments)
-            if reply is None:
-                raise ConnectionError("the gateway closed the connection")
         return reply
-
-    def _finish_hello(self) -> None:
-        """Block for the pipelined hello reply (caller holds the lock).
-
-        Feature-dependent requests (submit's fingerprint negotiation) call
-        this so the first submit on a fresh connection already knows whether
-        the server understands ``need-graph``; reads that hedge (ping/stats)
-        instead let :meth:`_recv` consume the reply lazily so a stalled
-        server cannot wedge them ahead of the hedge timer.
-        """
-        if not self._hello_pending:
-            return
-        self._hello_pending = False
-        reply = recv_frame(self._sock, instruments=self._instruments)
-        if reply is None:
-            raise ConnectionError("the gateway closed the connection")
-        if isinstance(reply, HelloReply):
-            self._codec = codec_id(reply.codec)
-            self._features = tuple(reply.features)
-        # An old server's ErrorReply leaves the JSON/full-payload defaults.
 
     def _with_retry(self, op: str, attempt_fn: Callable[[], WireMessage]) -> Any:
         """Run ``attempt_fn`` under the retry policy; reconnects between tries."""
@@ -303,7 +235,7 @@ class ClusterClient:
         def attempt() -> WireMessage:
             with self._lock:
                 self._ensure_connected()
-                send_frame(self._sock, message, codec=self._codec, instruments=self._instruments)
+                send_frame(self._sock, message, instruments=self._instruments)
                 return _raise_for(self._recv())
 
         return self._with_retry(op, attempt)
@@ -320,7 +252,7 @@ class ClusterClient:
         def attempt() -> WireMessage:
             with self._lock:
                 self._ensure_connected()
-                send_frame(self._sock, message, codec=self._codec, instruments=self._instruments)
+                send_frame(self._sock, message, instruments=self._instruments)
                 previous = self._sock.gettimeout()
                 self._sock.settimeout(self.hedge_delay)
                 try:
@@ -344,14 +276,6 @@ class ClusterClient:
                         self._sock.settimeout(previous)
 
         return self._with_retry(op, attempt)
-
-    def _wire_graph(self, graph: nx.Graph) -> WireGraph:
-        cached = self._graph_cache.get(id(graph))
-        if cached is not None and cached[0] is graph:
-            return cached[1]
-        wire_graph = WireGraph.from_graph(graph)
-        self._graph_cache[id(graph)] = (graph, wire_graph)
-        return wire_graph
 
     def _next_key(self) -> str:
         self._key_counter += 1
@@ -387,10 +311,10 @@ class ClusterClient:
         client-generated key, so a retried resubmission after a gateway
         crash can never double-enqueue.
 
-        When the server's hello advertised ``need-graph``, the submit ships
-        only the graph's fingerprint; a :class:`NeedGraphReply` (cache miss,
-        eviction, or membership-change invalidation) triggers a one-time
-        re-send with the full payload under the **same** idempotency key.
+        The submit ships only the graph's fingerprint; a
+        :class:`NeedGraphReply` (cache miss, eviction, or membership-change
+        invalidation) triggers a one-time re-send with the full payload under
+        the **same** idempotency key.
         Two clients sharing a graph thus upload it exactly once between them.
         """
         if isinstance(requests, Workload):
@@ -400,7 +324,7 @@ class ClusterClient:
             requests = requests.requests
         if idempotency_key is None:
             idempotency_key = self._next_key()
-        wire_graph = self._wire_graph(graph)
+        wire_graph = wire_graph_of(graph)
         wire_requests = tuple(WireRequest.from_request(request) for request in requests)
 
         def build(full: bool) -> SubmitRequest:
@@ -419,27 +343,13 @@ class ClusterClient:
         def attempt() -> WireMessage:
             with self._lock:
                 self._ensure_connected()
-                self._finish_hello()
-                fingerprint_only = "need-graph" in self._features
-                send_frame(
-                    self._sock,
-                    build(full=not fingerprint_only),
-                    codec=self._codec,
-                    instruments=self._instruments,
-                )
-                if not fingerprint_only:
-                    self._instruments.graph_uploaded()
+                send_frame(self._sock, build(full=False), instruments=self._instruments)
                 reply = _raise_for(self._recv())
                 if isinstance(reply, NeedGraphReply):
                     self._instruments.graph_uploaded()
-                    send_frame(
-                        self._sock,
-                        build(full=True),
-                        codec=self._codec,
-                        instruments=self._instruments,
-                    )
+                    send_frame(self._sock, build(full=True), instruments=self._instruments)
                     reply = _raise_for(self._recv())
-                elif fingerprint_only:
+                else:
                     self._instruments.payload_deduped()
                 return reply
 
@@ -465,7 +375,7 @@ class ClusterClient:
             with self._lock:
                 self._ensure_connected()
                 request = DispatchRequest(deadline=deadline)
-                send_frame(self._sock, request, codec=self._codec, instruments=self._instruments)
+                send_frame(self._sock, request, instruments=self._instruments)
                 while True:
                     reply = _raise_for(self._recv())
                     if isinstance(reply, DispatchShardReply):

@@ -53,7 +53,6 @@ from repro.net.frames import (
 )
 from repro.planner import ExecutionPlan
 from repro.service.service import BatchReport
-from repro.wire.codec import codec_id, codec_name, negotiate_codec, supported_codec_names
 from repro.wire.messages import (
     ArtifactAdoptReply,
     ArtifactAdoptRequest,
@@ -64,8 +63,6 @@ from repro.wire.messages import (
     FaultInjectRequest,
     HeartbeatReply,
     HeartbeatRequest,
-    Hello,
-    HelloReply,
     NeedGraphReply,
     Ping,
     Pong,
@@ -79,6 +76,7 @@ from repro.wire.messages import (
     WireGraph,
     WireMessage,
     WireShardQuery,
+    wire_graph_of,
 )
 
 __all__ = [
@@ -235,25 +233,18 @@ async def serve_shard(config: ShardServerConfig, ready=None) -> None:
 
     async def handle(reader: asyncio.StreamReader, writer: asyncio.StreamWriter) -> None:
         instruments.connection_opened()
-        codec: int | None = None  # negotiated per connection by the hello frame
         try:
             while True:
                 message = await read_frame(reader, instruments)
                 if message is None:
                     break
-                if isinstance(message, Hello):
-                    codec = negotiate_codec(message.codecs)
-                    reply: WireMessage = HelloReply(
-                        codec=codec_name(codec), features=("need-graph",)
+                try:
+                    reply = await reply_for(message)
+                except Exception as error:  # noqa: BLE001 - reported to the peer
+                    reply = ErrorReply(
+                        code="shard-error", message=f"{type(error).__name__}: {error}"
                     )
-                else:
-                    try:
-                        reply = await reply_for(message)
-                    except Exception as error:  # noqa: BLE001 - reported to the peer
-                        reply = ErrorReply(
-                            code="shard-error", message=f"{type(error).__name__}: {error}"
-                        )
-                await write_frame(writer, reply, codec=codec, instruments=instruments)
+                await write_frame(writer, reply, instruments=instruments)
                 if isinstance(reply, ShutdownAck):
                     stop.set()
                     break
@@ -314,12 +305,7 @@ class RemoteShard:
         self._sock = None
         self._closed = False
         self._partitioned = False
-        # Negotiated per connection by the hello handshake.
-        self._codec: int | None = None
-        self._features: tuple = ()
-        # Graphs are replayed slice after slice; encode each object once …
-        self._wire_graphs: dict[int, tuple[object, WireGraph]] = {}
-        # … and ship each distinct graph's payload once: refs the server has
+        # Ship each distinct graph's payload once: refs the server has
         # acknowledged (by serving a slice that referenced them) are elided
         # from later requests.  A server-side eviction or restart answers
         # ``NeedGraphReply`` and the slice retries with the payloads.
@@ -332,23 +318,11 @@ class RemoteShard:
         if self._sock is None:
             self._sock = net_address.connect(self.address, timeout=READY_TIMEOUT_SECONDS)
             self._instruments.connection_opened()
-            self._codec = None
-            self._features = ()
             self._acked.clear()
-            send_frame(
-                self._sock,
-                Hello(codecs=supported_codec_names(), features=("need-graph",)),
-                instruments=self._instruments,
-            )
-            reply = recv_frame(self._sock, instruments=self._instruments)
-            if isinstance(reply, HelloReply):
-                self._codec = codec_id(reply.codec)
-                self._features = tuple(reply.features)
-            # An old server's ErrorReply leaves the JSON/full-payload defaults.
         return self._sock
 
     def _send_locked(self, sock, message: WireMessage) -> None:
-        view = pack_frame_into(self._send_buffer, message, self._codec)
+        view = pack_frame_into(self._send_buffer, message)
         sock.sendall(view)
         self._instruments.frame_sent(len(view))
 
@@ -384,11 +358,7 @@ class RemoteShard:
         graphs: dict[str, WireGraph] = {}
         elided = 0
         for item in items:
-            cached = self._wire_graphs.get(id(item.graph))
-            if cached is None or cached[0] is not item.graph:
-                cached = (item.graph, WireGraph.from_graph(item.graph))
-                self._wire_graphs[id(item.graph)] = cached
-            wire_graph = cached[1]
+            wire_graph = wire_graph_of(item.graph)
             ref = wire_graph.fingerprint()
             queries.append(
                 WireShardQuery.from_shard_query(item, wire_graph=wire_graph, omit_graph=True)
@@ -408,23 +378,15 @@ class RemoteShard:
 
     def process(self, items: list[ShardQuery]) -> BatchReport:
         """Serve one scatter slice remotely; same contract as ``ShardWorker.process``."""
-        if "need-graph" not in self._features:
-            # Ensure the handshake ran at least once before deciding the
-            # server is too old for refs (the first request connects lazily).
-            with self._lock:
-                self._connection()
-        if "need-graph" in self._features:
-            request = self._encode_slice(items)
-            reply = self._request(request)
-            if isinstance(reply, NeedGraphReply):
-                # Evicted or restarted server: one retry carrying the payloads.
-                self._instruments.need_graph()
-                self._acked.difference_update(reply.fingerprints)
-                reply = self._request(self._encode_slice(items, force_refs=reply.fingerprints))
-            if isinstance(reply, ShardProcessReply):
-                self._acked.update(query.graph_ref for query in request.queries)
-        else:
-            reply = self._request(ShardProcessRequest.from_queries(items))
+        request = self._encode_slice(items)
+        reply = self._request(request)
+        if isinstance(reply, NeedGraphReply):
+            # Evicted or restarted server: one retry carrying the payloads.
+            self._instruments.need_graph()
+            self._acked.difference_update(reply.fingerprints)
+            reply = self._request(self._encode_slice(items, force_refs=reply.fingerprints))
+        if isinstance(reply, ShardProcessReply):
+            self._acked.update(query.graph_ref for query in request.queries)
         if not isinstance(reply, ShardProcessReply):
             raise RuntimeError(f"shard {self.shard_id} sent {reply.type!r}, expected a report")
         return reply.report.to_report()

@@ -1,20 +1,16 @@
-"""Payload codecs for the wire layer: msgpack when available, JSON otherwise.
+"""The payload codec for the wire layer: compact UTF-8 JSON.
 
 A wire message body is one flat payload dict (plain strings, numbers, lists,
 and dicts — see :mod:`repro.wire.messages`); this module turns that dict into
-bytes and back.  Two codecs are defined:
+bytes and back.
 
-* ``CODEC_JSON`` — always available (the stdlib), compact separators, UTF-8;
-* ``CODEC_MSGPACK`` — used automatically when the optional ``msgpack``
-  package is importable (the container this repo targets does not bake it
-  in, so the import is gated rather than required).
-
-Every encoded frame names its codec by id (one byte on the wire — see
-:mod:`repro.net.frames`), so a JSON-only peer can always decode a JSON frame
-and a msgpack-capable peer can answer in whichever codec the request used.
-Encoding a value the codec cannot represent raises :class:`WireEncodeError`
-rather than shipping a lossy approximation — the wire schema is restricted to
-JSON-safe scalars by design (fingerprints must agree across the wire).
+Every encoded message starts with a one-byte codec id (see
+:mod:`repro.net.frames` and the journal record format).  The only codec is
+JSON, id ``0``; decoding rejects any other id, so a frame or journal record
+that names something else fails loudly instead of being misread.  Encoding a
+value JSON cannot represent raises :class:`WireEncodeError` rather than
+shipping a lossy approximation — the wire schema is restricted to JSON-safe
+scalars by design (fingerprints must agree across the wire).
 """
 
 from __future__ import annotations
@@ -25,17 +21,10 @@ from typing import Any
 __all__ = [
     "WIRE_VERSION",
     "CODEC_JSON",
-    "CODEC_MSGPACK",
-    "HAVE_MSGPACK",
-    "DEFAULT_CODEC",
     "WireError",
     "WireEncodeError",
     "WireDecodeError",
     "SchemaVersionError",
-    "codec_name",
-    "codec_id",
-    "supported_codec_names",
-    "negotiate_codec",
     "encode_payload",
     "decode_payload",
 ]
@@ -45,21 +34,8 @@ __all__ = [
 #: version instead rely on unknown-field tolerance).
 WIRE_VERSION = 1
 
+#: The codec id byte every encoded message starts with.
 CODEC_JSON = 0
-CODEC_MSGPACK = 1
-
-try:  # pragma: no cover - exercised only where msgpack is installed
-    import msgpack as _msgpack
-
-    HAVE_MSGPACK = True
-except ImportError:  # pragma: no cover - the default in this container
-    _msgpack = None
-    HAVE_MSGPACK = False
-
-#: The codec new frames are encoded with (decoding always accepts both).
-DEFAULT_CODEC = CODEC_MSGPACK if HAVE_MSGPACK else CODEC_JSON
-
-_CODEC_NAMES = {CODEC_JSON: "json", CODEC_MSGPACK: "msgpack"}
 
 
 class WireError(Exception):
@@ -78,83 +54,23 @@ class SchemaVersionError(WireDecodeError):
     """The peer speaks a different wire schema version."""
 
 
-def codec_name(codec: int) -> str:
-    """Human-readable name of a codec id (for errors and reports)."""
-    return _CODEC_NAMES.get(codec, f"unknown({codec})")
-
-
-def codec_id(name: str) -> int | None:
-    """The codec id for a negotiated name, or ``None`` for an unknown name."""
-    for known_id, known_name in _CODEC_NAMES.items():
-        if known_name == name:
-            return known_id
-    return None
-
-
-def supported_codec_names() -> tuple[str, ...]:
-    """The codec names this process can *encode and decode*, best first.
-
-    This is what a hello frame advertises: JSON is always supported, msgpack
-    only when the optional package imported.
-    """
-    if HAVE_MSGPACK:  # pragma: no cover - optional dep
-        return ("msgpack", "json")
-    return ("json",)
-
-
-def negotiate_codec(peer_names) -> int:
-    """Pick the connection codec from a peer's advertised codec names.
-
-    Chooses the best codec both sides support (msgpack when available on
-    both, otherwise JSON).  Unknown names are ignored, so a peer from the
-    future degrades to the common subset instead of failing the handshake.
-    """
-    ours = supported_codec_names()
-    for name in ours:
-        if name in tuple(peer_names):
-            chosen = codec_id(name)
-            if chosen is not None:
-                return chosen
-    return CODEC_JSON
-
-
-def encode_payload(payload: dict[str, Any], codec: int | None = None) -> tuple[int, bytes]:
-    """Encode one payload dict; returns ``(codec_id, body_bytes)``.
-
-    ``codec=None`` picks :data:`DEFAULT_CODEC`.  Asking for msgpack without
-    the package installed falls back to JSON (the frame records what was
-    actually used, so the peer never guesses).
-    """
-    if codec is None:
-        codec = DEFAULT_CODEC
-    if codec == CODEC_MSGPACK and HAVE_MSGPACK:  # pragma: no cover - optional dep
-        try:
-            return CODEC_MSGPACK, _msgpack.packb(payload, use_bin_type=True)
-        except (TypeError, ValueError) as error:
-            raise WireEncodeError(f"payload is not msgpack-serializable: {error}") from error
+def encode_payload(payload: dict[str, Any]) -> bytes:
+    """Encode one payload dict as a JSON body (without the codec id byte)."""
     try:
         body = json.dumps(payload, separators=(",", ":"), allow_nan=False)
     except (TypeError, ValueError) as error:
         raise WireEncodeError(f"payload is not JSON-serializable: {error}") from error
-    return CODEC_JSON, body.encode("utf-8")
+    return body.encode("utf-8")
 
 
 def decode_payload(codec: int, body: bytes) -> dict[str, Any]:
-    """Decode one frame body back into its payload dict."""
-    if codec == CODEC_MSGPACK:
-        if not HAVE_MSGPACK:  # pragma: no cover - depends on the environment
-            raise WireDecodeError("received a msgpack frame but msgpack is not installed")
-        try:  # pragma: no cover - optional dep
-            payload = _msgpack.unpackb(body, raw=False)
-        except Exception as error:  # pragma: no cover - optional dep
-            raise WireDecodeError(f"invalid msgpack body: {error}") from error
-    elif codec == CODEC_JSON:
-        try:
-            payload = json.loads(body.decode("utf-8"))
-        except (UnicodeDecodeError, json.JSONDecodeError) as error:
-            raise WireDecodeError(f"invalid JSON body: {error}") from error
-    else:
+    """Decode one body back into its payload dict; ``codec`` must be JSON."""
+    if codec != CODEC_JSON:
         raise WireDecodeError(f"unknown codec id {codec}")
+    try:
+        payload = json.loads(body.decode("utf-8"))
+    except (UnicodeDecodeError, json.JSONDecodeError) as error:
+        raise WireDecodeError(f"invalid JSON body: {error}") from error
     if not isinstance(payload, dict):
         raise WireDecodeError(f"wire payload must be a dict, got {type(payload).__name__}")
     return payload

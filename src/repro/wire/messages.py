@@ -10,9 +10,12 @@ dataclass here with
 * an explicit ``schema_version`` field (payloads carry it as ``"v"``; a
   mismatched version is rejected at decode time with
   :class:`~repro.wire.codec.SchemaVersionError`);
-* ``to_wire()`` / ``from_wire()`` — bytes via the msgpack-or-JSON codecs of
+* ``to_wire()`` / ``from_wire()`` — bytes via the JSON codec of
   :mod:`repro.wire.codec` (one codec id byte + body; framing lives in
   :mod:`repro.net.frames`);
+* a payload codec **derived from the dataclass fields**: each class's
+  ``to_payload`` / ``_fields_from_payload`` pair is generated from its field
+  annotations on first use, so adding a field is one annotated line;
 * **unknown-field tolerance** — ``from_payload`` reads only the fields it
   knows, so a same-version peer that has grown extra fields (a rolling
   upgrade) still interoperates.
@@ -46,8 +49,20 @@ from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import dataclass, field
-from typing import Any, Callable, ClassVar, Mapping, Sequence, TypeVar
+import weakref
+from dataclasses import MISSING, dataclass, field, fields
+from types import UnionType
+from typing import (
+    Any,
+    Callable,
+    ClassVar,
+    Mapping,
+    TypeVar,
+    Union,
+    get_args,
+    get_origin,
+    get_type_hints,
+)
 
 import networkx as nx
 
@@ -57,6 +72,7 @@ from repro.core.tokens import RoutingRequest
 from repro.planner import ExecutionPlan
 from repro.service.service import BatchReport, QueryResult
 from repro.wire.codec import (
+    CODEC_JSON,
     WIRE_VERSION,
     SchemaVersionError,
     WireDecodeError,
@@ -70,6 +86,7 @@ __all__ = [
     "decode_message",
     "message_from_wire",
     "WireGraph",
+    "wire_graph_of",
     "WireRequest",
     "WirePlan",
     "WireShardQuery",
@@ -82,8 +99,6 @@ __all__ = [
     "Pong",
     "Shutdown",
     "ShutdownAck",
-    "Hello",
-    "HelloReply",
     "NeedGraphReply",
     "ErrorReply",
     "ShardProcessRequest",
@@ -144,25 +159,27 @@ _M = TypeVar("_M", bound="WireMessage")
 
 @dataclass(frozen=True)
 class WireMessage:
-    """Base class: version checking, the type registry, and the byte codecs.
+    """Base class: version checking, the type registry, and the payload codec.
 
-    Subclasses declare a unique ``type`` tag, implement ``to_payload`` /
-    ``_fields_from_payload``, and are registered via :func:`_register` so
-    :func:`decode_message` can dispatch on the tag.
+    Subclasses declare a unique ``type`` tag and their fields, and are
+    registered via :func:`_register` so :func:`decode_message` can dispatch on
+    the tag.  ``to_payload`` / ``_fields_from_payload`` are derived from the
+    field annotations and compiled once per class on first use (see
+    :func:`_compile_codec`).
     """
 
     type: ClassVar[str] = ""
 
-    def _envelope(self) -> dict[str, Any]:
-        return {"type": self.type, "v": self.schema_version}
-
-    def to_payload(self) -> dict[str, Any]:  # pragma: no cover - abstract
-        raise NotImplementedError
+    def to_payload(self) -> dict[str, Any]:
+        """This message as one JSON-safe payload dict."""
+        _compile_codec(type(self))
+        return self.to_payload()
 
     @classmethod
     def _fields_from_payload(cls, payload: Mapping[str, Any]) -> dict[str, Any]:
         """The constructor kwargs encoded in ``payload`` (known fields only)."""
-        raise NotImplementedError  # pragma: no cover - abstract
+        _compile_codec(cls)
+        return cls._fields_from_payload(payload)
 
     @classmethod
     def from_payload(cls: type[_M], payload: Mapping[str, Any]) -> _M:
@@ -181,10 +198,9 @@ class WireMessage:
         except (KeyError, TypeError, ValueError, AttributeError) as error:
             raise WireDecodeError(f"malformed {cls.type!r} payload: {error}") from error
 
-    def to_wire(self, codec: int | None = None) -> bytes:
-        """This message as bytes: one codec id byte followed by the body."""
-        codec_id, body = encode_payload(self.to_payload(), codec)
-        return bytes((codec_id,)) + body
+    def to_wire(self) -> bytes:
+        """This message as bytes: the JSON codec id byte followed by the body."""
+        return _JSON_ID + encode_payload(self.to_payload())
 
     @classmethod
     def from_wire(cls: type[_M], data: bytes) -> _M:
@@ -197,6 +213,127 @@ class WireMessage:
                 f"expected a {cls.type!r} message, got {message.type!r}"
             )
         return message
+
+
+_JSON_ID = bytes((CODEC_JSON,))
+
+#: Field metadata marking a key every payload must carry: decoding a payload
+#: without it raises :class:`WireDecodeError` instead of taking the default.
+_REQUIRED = {"wire_required": True}
+
+
+def _required(**kwargs: Any) -> Any:
+    """A dataclass field whose payload key is mandatory on decode."""
+    return field(metadata=_REQUIRED, **kwargs)
+
+
+# -- the derived payload codec -----------------------------------------------------
+#
+# Each message class gets two functions generated from its field annotations,
+# once: ``to_payload`` builds the payload dict in one dict display (keys in
+# field order after ``type`` and ``v``), and ``_fields_from_payload`` reads
+# it back.  The annotation decides the conversion:
+#
+# * a message class nests its payload; ``tuple[M, ...]`` / ``dict[str, M]``
+#   nest one per entry;
+# * other tuples travel as lists and come back as tuples (recursively);
+# * ``int`` / ``float`` / ``bool`` are coerced on decode, which rejects
+#   malformed outside input (``int("x")`` raises);
+# * ``X | None`` carries ``null`` as-is and converts any other value as ``X``;
+# * everything else (``str``, ``Any``, plain ``dict``) is JSON-native.
+#
+# On decode a missing key (or ``null`` for a field that is not optional)
+# takes the field default, and unknown keys are ignored.
+
+_Expr = Callable[[str], str]
+_MISSING = object()
+
+
+def _converters(
+    hint: Any, bind: Callable[[type], str], depth: int = 0
+) -> tuple[_Expr | None, _Expr | None]:
+    """Source-expression builders ``(encode, decode)`` for one annotation.
+
+    Each builder maps the source text of a value to the source text of its
+    converted form; ``None`` means the value is carried unchanged.
+    """
+    if isinstance(hint, type) and issubclass(hint, WireMessage):
+        name = bind(hint)
+        return (lambda e: f"{e}.to_payload()"), (lambda e: f"{name}.from_payload({e})")
+    if hint in (int, float, bool):
+        return None, (lambda e: f"{hint.__name__}({e})")
+    origin, args = get_origin(hint), get_args(hint)
+    item, key = f"_x{depth}", f"_k{depth}"
+    if hint is tuple or origin is tuple:
+        enc, dec = _converters(args[0], bind, depth + 1) if args else (None, None)
+        loop = f"for {item} in"
+        encode = (lambda e: f"[{enc(item)} {loop} {e}]") if enc else (lambda e: f"list({e})")
+        decode = (lambda e: f"tuple({dec(item)} {loop} {e})") if dec else (lambda e: f"tuple({e})")
+        return encode, decode
+    if hint is dict or origin is dict:
+        enc, dec = _converters(args[1], bind, depth + 1) if args else (None, None)
+        loop = f"for {key}, {item} in"
+        encode = (lambda e: f"{{{key}: {enc(item)} {loop} {e}.items()}}") if enc else None
+        decode = (lambda e: f"{{{key}: {dec(item)} {loop} {e}.items()}}") if dec else None
+        return encode, decode or (lambda e: f"dict({e})")
+    return None, None
+
+
+def _compile_codec(cls: type[WireMessage]) -> None:
+    """Generate and install ``cls``'s ``to_payload`` / ``_fields_from_payload``."""
+    namespace: dict[str, Any] = {"_MISSING": _MISSING}
+
+    def bind(value: Any, name: str) -> str:
+        namespace[name] = value
+        return name
+
+    hints = get_type_hints(cls)
+    encoded = [f"'type': {cls.type!r}", "'v': self.schema_version"]
+    decoded = []
+    for spec in fields(cls):
+        name, hint = spec.name, hints[spec.name]
+        if name == "schema_version":
+            continue
+        optional = get_origin(hint) in (Union, UnionType) and type(None) in get_args(hint)
+        if optional:
+            (hint,) = [arg for arg in get_args(hint) if arg is not type(None)]
+        enc, dec = _converters(hint, lambda message_cls: bind(message_cls, message_cls.__name__))
+        dec = dec or (lambda e: e)
+        value = f"self.{name}"
+        if enc is not None:
+            value = f"(None if {value} is None else {enc(value)})" if optional else enc(value)
+        encoded.append(f"{name!r}: {value}")
+        default = None  # no default: the key is mandatory
+        if type(spec.default) in (str, int, float, bool, type(None)):
+            default = repr(spec.default)
+        elif spec.default is not MISSING:
+            default = bind(spec.default, f"_default_{name}")
+        elif spec.default_factory is not MISSING:
+            default = bind(spec.default_factory, f"_factory_{name}") + "()"
+        if spec.metadata.get("wire_required") or default is None:
+            value = dec(f"payload[{name!r}]")
+        elif optional and default == "None":  # missing and null both mean None
+            value = f"(None if (v := get({name!r})) is None else {dec('v')})"
+        elif optional:
+            value = (
+                f"({default} if (v := get({name!r}, _MISSING)) is _MISSING "
+                f"else None if v is None else {dec('v')})"
+            )
+        else:
+            value = f"({default} if (v := get({name!r})) is None else {dec('v')})"
+        decoded.append(f"{name!r}: {value}")
+    source = "\n".join(
+        [
+            "def to_payload(self):",
+            f"    return {{{', '.join(encoded)}}}",
+            "def _fields_from_payload(payload):",
+            "    get = payload.get",
+            f"    return {{{', '.join(decoded)}}}",
+        ]
+    )
+    exec(compile(source, f"<wire codec {cls.__name__}>", "exec"), namespace)
+    cls.to_payload = namespace["to_payload"]
+    cls._fields_from_payload = staticmethod(namespace["_fields_from_payload"])
 
 
 _MESSAGE_TYPES: dict[str, type[WireMessage]] = {}
@@ -238,8 +375,8 @@ class WireGraph(WireMessage):
 
     type: ClassVar[str] = "graph"
 
-    nodes: tuple = ()
-    edges: tuple = ()
+    nodes: tuple = _required(default=())
+    edges: tuple[tuple, ...] = _required(default=())
     schema_version: int = WIRE_VERSION
 
     @classmethod
@@ -280,18 +417,25 @@ class WireGraph(WireMessage):
             object.__setattr__(self, "_fingerprint", cached)
         return cached
 
-    def to_payload(self) -> dict[str, Any]:
-        payload = self._envelope()
-        payload["nodes"] = list(self.nodes)
-        payload["edges"] = [[u, v, dict(data)] for u, v, data in self.edges]
-        return payload
 
-    @classmethod
-    def _fields_from_payload(cls, payload: Mapping[str, Any]) -> dict[str, Any]:
-        return {
-            "nodes": tuple(payload["nodes"]),
-            "edges": tuple((u, v, dict(data)) for u, v, data in payload["edges"]),
-        }
+#: graph object -> its encoding; weak keys, so a dropped graph frees its entry.
+_WIRE_GRAPHS: "weakref.WeakKeyDictionary[nx.Graph, WireGraph]" = weakref.WeakKeyDictionary()
+
+
+def wire_graph_of(graph: nx.Graph) -> WireGraph:
+    """``WireGraph.from_graph(graph)``, memoized per graph object.
+
+    Senders replay the same graph objects query after query; this encodes
+    (and fingerprints) each object once without keeping it alive.  Like any
+    encode cache it assumes a graph is not mutated after it was first sent.
+    Two threads racing on a new graph both encode it, and either equal
+    result may stay cached.
+    """
+    wire_graph = _WIRE_GRAPHS.get(graph)
+    if wire_graph is None:
+        wire_graph = WireGraph.from_graph(graph)
+        _WIRE_GRAPHS[graph] = wire_graph
+    return wire_graph
 
 
 @_register
@@ -301,8 +445,8 @@ class WireRequest(WireMessage):
 
     type: ClassVar[str] = "request"
 
-    source: Any = None
-    destination: Any = None
+    source: Any = _required(default=None)
+    destination: Any = _required(default=None)
     payload: Any = None
     schema_version: int = WIRE_VERSION
 
@@ -319,21 +463,6 @@ class WireRequest(WireMessage):
             source=self.source, destination=self.destination, payload=self.payload
         )
 
-    def to_payload(self) -> dict[str, Any]:
-        payload = self._envelope()
-        payload["source"] = self.source
-        payload["destination"] = self.destination
-        payload["payload"] = self.payload
-        return payload
-
-    @classmethod
-    def _fields_from_payload(cls, payload: Mapping[str, Any]) -> dict[str, Any]:
-        return {
-            "source": payload["source"],
-            "destination": payload["destination"],
-            "payload": payload.get("payload"),
-        }
-
 
 @_register
 @dataclass(frozen=True)
@@ -349,7 +478,7 @@ class WirePlan(WireMessage):
 
     type: ClassVar[str] = "plan"
 
-    backend: str = ""
+    backend: str = _required(default="")
     backend_params: dict = field(default_factory=dict)
     kernel: str = "numpy"
     parallelism: str = "threads"
@@ -393,40 +522,6 @@ class WirePlan(WireMessage):
             reason=self.reason,
         )
 
-    def to_payload(self) -> dict[str, Any]:
-        payload = self._envelope()
-        payload["backend"] = self.backend
-        payload["backend_params"] = dict(self.backend_params)
-        payload["kernel"] = self.kernel
-        payload["parallelism"] = self.parallelism
-        payload["max_workers"] = self.max_workers
-        payload["chunk_size"] = self.chunk_size
-        payload["fused"] = self.fused
-        payload["artifact_transport"] = self.artifact_transport
-        payload["shard_hint"] = self.shard_hint
-        payload["policy"] = self.policy
-        payload["reason"] = self.reason
-        return payload
-
-    @classmethod
-    def _fields_from_payload(cls, payload: Mapping[str, Any]) -> dict[str, Any]:
-        return {
-            "backend": payload["backend"],
-            "backend_params": dict(payload.get("backend_params") or {}),
-            "kernel": payload.get("kernel", "numpy"),
-            "parallelism": payload.get("parallelism", "threads"),
-            "max_workers": payload.get("max_workers"),
-            "chunk_size": payload.get("chunk_size"),
-            # Peers one schema behind omit the fused/transport knobs; their
-            # plans execute un-fused over the spill path, which is always
-            # result-identical.
-            "fused": bool(payload.get("fused", False)),
-            "artifact_transport": payload.get("artifact_transport", "pickle"),
-            "shard_hint": payload.get("shard_hint"),
-            "policy": payload.get("policy", "fixed"),
-            "reason": payload.get("reason", ""),
-        }
-
 
 @_register
 @dataclass(frozen=True)
@@ -442,12 +537,12 @@ class WireShardQuery(WireMessage):
 
     type: ClassVar[str] = "shard-query"
 
-    fingerprint: str = ""
+    fingerprint: str = _required(default="")
     graph: WireGraph | None = field(default_factory=WireGraph)
     graph_ref: str = ""
-    requests: tuple = ()
+    requests: tuple[WireRequest, ...] = ()
     load: int | None = None
-    backend: str = ""
+    backend: str = _required(default="")
     backend_params: dict = field(default_factory=dict)
     workload: str = ""
     plan: WirePlan | None = None
@@ -503,39 +598,6 @@ class WireShardQuery(WireMessage):
             idempotency_key=self.idempotency_key,
         )
 
-    def to_payload(self) -> dict[str, Any]:
-        payload = self._envelope()
-        payload["fingerprint"] = self.fingerprint
-        payload["graph"] = self.graph.to_payload() if self.graph is not None else None
-        payload["graph_ref"] = self.graph_ref
-        payload["requests"] = [request.to_payload() for request in self.requests]
-        payload["load"] = self.load
-        payload["backend"] = self.backend
-        payload["backend_params"] = dict(self.backend_params)
-        payload["workload"] = self.workload
-        payload["plan"] = self.plan.to_payload() if self.plan is not None else None
-        payload["idempotency_key"] = self.idempotency_key
-        return payload
-
-    @classmethod
-    def _fields_from_payload(cls, payload: Mapping[str, Any]) -> dict[str, Any]:
-        plan = payload.get("plan")
-        graph = payload.get("graph")
-        return {
-            "fingerprint": payload["fingerprint"],
-            "graph": WireGraph.from_payload(graph) if graph is not None else None,
-            "graph_ref": payload.get("graph_ref", ""),
-            "requests": tuple(
-                WireRequest.from_payload(entry) for entry in payload.get("requests", [])
-            ),
-            "load": payload.get("load"),
-            "backend": payload["backend"],
-            "backend_params": dict(payload.get("backend_params") or {}),
-            "workload": payload.get("workload", ""),
-            "plan": WirePlan.from_payload(plan) if plan is not None else None,
-            "idempotency_key": payload.get("idempotency_key", ""),
-        }
-
 
 @_register
 @dataclass(frozen=True)
@@ -549,11 +611,11 @@ class WireRouteResult(WireMessage):
 
     type: ClassVar[str] = "route-result"
 
-    backend: str = ""
-    delivered: int = 0
-    total_tokens: int = 0
-    query_rounds: int = 0
-    preprocess_rounds: int = 0
+    backend: str = _required(default="")
+    delivered: int = _required(default=0)
+    total_tokens: int = _required(default=0)
+    query_rounds: int = _required(default=0)
+    preprocess_rounds: int = _required(default=0)
     load: int = 1
     extra: dict = field(default_factory=dict)
     schema_version: int = WIRE_VERSION
@@ -588,29 +650,6 @@ class WireRouteResult(WireMessage):
             extra=dict(self.extra),
         )
 
-    def to_payload(self) -> dict[str, Any]:
-        payload = self._envelope()
-        payload["backend"] = self.backend
-        payload["delivered"] = self.delivered
-        payload["total_tokens"] = self.total_tokens
-        payload["query_rounds"] = self.query_rounds
-        payload["preprocess_rounds"] = self.preprocess_rounds
-        payload["load"] = self.load
-        payload["extra"] = dict(self.extra)
-        return payload
-
-    @classmethod
-    def _fields_from_payload(cls, payload: Mapping[str, Any]) -> dict[str, Any]:
-        return {
-            "backend": payload["backend"],
-            "delivered": int(payload["delivered"]),
-            "total_tokens": int(payload["total_tokens"]),
-            "query_rounds": int(payload["query_rounds"]),
-            "preprocess_rounds": int(payload["preprocess_rounds"]),
-            "load": int(payload.get("load", 1)),
-            "extra": dict(payload.get("extra") or {}),
-        }
-
 
 @_register
 @dataclass(frozen=True)
@@ -619,11 +658,11 @@ class WireQueryResult(WireMessage):
 
     type: ClassVar[str] = "query-result"
 
-    query_id: int = 0
-    fingerprint: str = ""
-    backend: str = ""
-    outcome: WireRouteResult = field(default_factory=WireRouteResult)
-    cache_hit: bool = False
+    query_id: int = _required(default=0)
+    fingerprint: str = _required(default="")
+    backend: str = _required(default="")
+    outcome: WireRouteResult = _required(default_factory=WireRouteResult)
+    cache_hit: bool = _required(default=False)
     seconds: float = 0.0
     workload: str = ""
     plan: WirePlan | None = None
@@ -654,32 +693,6 @@ class WireQueryResult(WireMessage):
             plan=self.plan.to_plan() if self.plan is not None else None,
         )
 
-    def to_payload(self) -> dict[str, Any]:
-        payload = self._envelope()
-        payload["query_id"] = self.query_id
-        payload["fingerprint"] = self.fingerprint
-        payload["backend"] = self.backend
-        payload["outcome"] = self.outcome.to_payload()
-        payload["cache_hit"] = self.cache_hit
-        payload["seconds"] = self.seconds
-        payload["workload"] = self.workload
-        payload["plan"] = self.plan.to_payload() if self.plan is not None else None
-        return payload
-
-    @classmethod
-    def _fields_from_payload(cls, payload: Mapping[str, Any]) -> dict[str, Any]:
-        plan = payload.get("plan")
-        return {
-            "query_id": int(payload["query_id"]),
-            "fingerprint": payload["fingerprint"],
-            "backend": payload["backend"],
-            "outcome": WireRouteResult.from_payload(payload["outcome"]),
-            "cache_hit": bool(payload["cache_hit"]),
-            "seconds": float(payload.get("seconds", 0.0)),
-            "workload": payload.get("workload", ""),
-            "plan": WirePlan.from_payload(plan) if plan is not None else None,
-        }
-
 
 @_register
 @dataclass(frozen=True)
@@ -693,7 +706,7 @@ class WireBatchReport(WireMessage):
 
     type: ClassVar[str] = "batch-report"
 
-    results: tuple = ()
+    results: tuple[WireQueryResult, ...] = ()
     distinct_graphs: int = 0
     cache_hits: int = 0
     cache_misses: int = 0
@@ -731,35 +744,6 @@ class WireBatchReport(WireMessage):
             wall_seconds=self.wall_seconds,
         )
 
-    def to_payload(self) -> dict[str, Any]:
-        payload = self._envelope()
-        payload["results"] = [result.to_payload() for result in self.results]
-        payload["distinct_graphs"] = self.distinct_graphs
-        payload["cache_hits"] = self.cache_hits
-        payload["cache_misses"] = self.cache_misses
-        payload["preprocess_rounds_incurred"] = self.preprocess_rounds_incurred
-        payload["preprocess_rounds_reused"] = self.preprocess_rounds_reused
-        payload["preprocess_seconds"] = self.preprocess_seconds
-        payload["route_seconds"] = self.route_seconds
-        payload["wall_seconds"] = self.wall_seconds
-        return payload
-
-    @classmethod
-    def _fields_from_payload(cls, payload: Mapping[str, Any]) -> dict[str, Any]:
-        return {
-            "results": tuple(
-                WireQueryResult.from_payload(entry) for entry in payload.get("results", [])
-            ),
-            "distinct_graphs": int(payload.get("distinct_graphs", 0)),
-            "cache_hits": int(payload.get("cache_hits", 0)),
-            "cache_misses": int(payload.get("cache_misses", 0)),
-            "preprocess_rounds_incurred": int(payload.get("preprocess_rounds_incurred", 0)),
-            "preprocess_rounds_reused": int(payload.get("preprocess_rounds_reused", 0)),
-            "preprocess_seconds": float(payload.get("preprocess_seconds", 0.0)),
-            "route_seconds": float(payload.get("route_seconds", 0.0)),
-            "wall_seconds": float(payload.get("wall_seconds", 0.0)),
-        }
-
 
 @_register
 @dataclass(frozen=True)
@@ -791,23 +775,6 @@ class WireAdmissionStats(WireMessage):
             shed=self.shed,
         )
 
-    def to_payload(self) -> dict[str, Any]:
-        payload = self._envelope()
-        payload["offered"] = self.offered
-        payload["accepted"] = self.accepted
-        payload["rejected"] = self.rejected
-        payload["shed"] = self.shed
-        return payload
-
-    @classmethod
-    def _fields_from_payload(cls, payload: Mapping[str, Any]) -> dict[str, Any]:
-        return {
-            "offered": int(payload.get("offered", 0)),
-            "accepted": int(payload.get("accepted", 0)),
-            "rejected": int(payload.get("rejected", 0)),
-            "shed": int(payload.get("shed", 0)),
-        }
-
 
 @_register
 @dataclass(frozen=True)
@@ -816,7 +783,7 @@ class WireClusterReport(WireMessage):
 
     type: ClassVar[str] = "cluster-report"
 
-    shard_reports: dict = field(default_factory=dict)
+    shard_reports: dict[str, WireBatchReport] = field(default_factory=dict)
     dispatch_seconds: float = 0.0
     admission: WireAdmissionStats = field(default_factory=WireAdmissionStats)
     lost_batches: int = 0
@@ -850,32 +817,6 @@ class WireClusterReport(WireMessage):
             requeued_batches=self.requeued_batches,
         )
 
-    def to_payload(self) -> dict[str, Any]:
-        payload = self._envelope()
-        payload["shard_reports"] = {
-            shard_id: report.to_payload() for shard_id, report in self.shard_reports.items()
-        }
-        payload["dispatch_seconds"] = self.dispatch_seconds
-        payload["admission"] = self.admission.to_payload()
-        payload["lost_batches"] = self.lost_batches
-        payload["requeued_batches"] = self.requeued_batches
-        return payload
-
-    @classmethod
-    def _fields_from_payload(cls, payload: Mapping[str, Any]) -> dict[str, Any]:
-        return {
-            "shard_reports": {
-                shard_id: WireBatchReport.from_payload(entry)
-                for shard_id, entry in (payload.get("shard_reports") or {}).items()
-            },
-            "dispatch_seconds": float(payload.get("dispatch_seconds", 0.0)),
-            "admission": WireAdmissionStats.from_payload(
-                payload.get("admission") or WireAdmissionStats().to_payload()
-            ),
-            "lost_batches": int(payload.get("lost_batches", 0)),
-            "requeued_batches": int(payload.get("requeued_batches", 0)),
-        }
-
 
 # -- protocol messages -------------------------------------------------------------
 
@@ -886,8 +827,6 @@ def _simple(type_tag: str, doc: str) -> Callable[[type], type]:
     def wrap(cls: type) -> type:
         cls.type = type_tag
         cls.__doc__ = doc
-        cls.to_payload = WireMessage._envelope
-        cls._fields_from_payload = classmethod(lambda _cls, _payload: {})
         return _register(dataclass(frozen=True)(cls))
 
     return wrap
@@ -934,74 +873,6 @@ class ErrorReply(WireMessage):
     message: str = ""
     schema_version: int = WIRE_VERSION
 
-    def to_payload(self) -> dict[str, Any]:
-        payload = self._envelope()
-        payload["code"] = self.code
-        payload["message"] = self.message
-        return payload
-
-    @classmethod
-    def _fields_from_payload(cls, payload: Mapping[str, Any]) -> dict[str, Any]:
-        return {"code": payload.get("code", "error"), "message": payload.get("message", "")}
-
-
-@_register
-@dataclass(frozen=True)
-class Hello(WireMessage):
-    """Peer → server, first frame on a connection: negotiate the wire codec.
-
-    ``codecs`` is the peer's supported codec names, best first; ``features``
-    advertises optional protocol extensions (e.g. ``"need-graph"`` for
-    fingerprint-negotiated payloads).  Rolling-upgrade tolerant both ways: a
-    server that predates the handshake answers ``ErrorReply(code="unsupported")``
-    and the peer falls back to per-message defaults; a peer that never says
-    hello is served with the defaults too.
-    """
-
-    type: ClassVar[str] = "hello"
-
-    codecs: tuple = ("json",)
-    features: tuple = ()
-    schema_version: int = WIRE_VERSION
-
-    def to_payload(self) -> dict[str, Any]:
-        payload = self._envelope()
-        payload["codecs"] = list(self.codecs)
-        payload["features"] = list(self.features)
-        return payload
-
-    @classmethod
-    def _fields_from_payload(cls, payload: Mapping[str, Any]) -> dict[str, Any]:
-        return {
-            "codecs": tuple(payload.get("codecs") or ("json",)),
-            "features": tuple(payload.get("features") or ()),
-        }
-
-
-@_register
-@dataclass(frozen=True)
-class HelloReply(WireMessage):
-    """Server → peer: the codec chosen for this connection plus server features."""
-
-    type: ClassVar[str] = "hello-reply"
-
-    codec: str = "json"
-    features: tuple = ()
-    schema_version: int = WIRE_VERSION
-
-    def to_payload(self) -> dict[str, Any]:
-        payload = self._envelope()
-        payload["codec"] = self.codec
-        payload["features"] = list(self.features)
-        return payload
-
-    @classmethod
-    def _fields_from_payload(cls, payload: Mapping[str, Any]) -> dict[str, Any]:
-        return {
-            "codec": payload.get("codec", "json"),
-            "features": tuple(payload.get("features") or ()),
-        }
-
 
 @_register
 @dataclass(frozen=True)
@@ -1016,17 +887,8 @@ class NeedGraphReply(WireMessage):
 
     type: ClassVar[str] = "need-graph"
 
-    fingerprints: tuple = ()
+    fingerprints: tuple[str, ...] = ()
     schema_version: int = WIRE_VERSION
-
-    def to_payload(self) -> dict[str, Any]:
-        payload = self._envelope()
-        payload["fingerprints"] = list(self.fingerprints)
-        return payload
-
-    @classmethod
-    def _fields_from_payload(cls, payload: Mapping[str, Any]) -> dict[str, Any]:
-        return {"fingerprints": tuple(payload.get("fingerprints") or ())}
 
 
 @_register
@@ -1042,34 +904,9 @@ class ShardProcessRequest(WireMessage):
 
     type: ClassVar[str] = "shard-process"
 
-    queries: tuple = ()
-    graphs: dict = field(default_factory=dict)
+    queries: tuple[WireShardQuery, ...] = ()
+    graphs: dict[str, WireGraph] = field(default_factory=dict)
     schema_version: int = WIRE_VERSION
-
-    @classmethod
-    def from_queries(cls, queries: Sequence[ShardQuery]) -> "ShardProcessRequest":
-        return cls(queries=tuple(WireShardQuery.from_shard_query(query) for query in queries))
-
-    def to_queries(self) -> list[ShardQuery]:
-        return [query.to_shard_query() for query in self.queries]
-
-    def to_payload(self) -> dict[str, Any]:
-        payload = self._envelope()
-        payload["queries"] = [query.to_payload() for query in self.queries]
-        payload["graphs"] = {ref: graph.to_payload() for ref, graph in self.graphs.items()}
-        return payload
-
-    @classmethod
-    def _fields_from_payload(cls, payload: Mapping[str, Any]) -> dict[str, Any]:
-        return {
-            "queries": tuple(
-                WireShardQuery.from_payload(entry) for entry in payload.get("queries", [])
-            ),
-            "graphs": {
-                ref: WireGraph.from_payload(entry)
-                for ref, entry in (payload.get("graphs") or {}).items()
-            },
-        }
 
 
 @_register
@@ -1079,17 +916,8 @@ class ShardProcessReply(WireMessage):
 
     type: ClassVar[str] = "shard-report"
 
-    report: WireBatchReport = field(default_factory=WireBatchReport)
+    report: WireBatchReport = _required(default_factory=WireBatchReport)
     schema_version: int = WIRE_VERSION
-
-    def to_payload(self) -> dict[str, Any]:
-        payload = self._envelope()
-        payload["report"] = self.report.to_payload()
-        return payload
-
-    @classmethod
-    def _fields_from_payload(cls, payload: Mapping[str, Any]) -> dict[str, Any]:
-        return {"report": WireBatchReport.from_payload(payload["report"])}
 
 
 @_register
@@ -1101,15 +929,6 @@ class ShardStatsReply(WireMessage):
 
     row: dict = field(default_factory=dict)
     schema_version: int = WIRE_VERSION
-
-    def to_payload(self) -> dict[str, Any]:
-        payload = self._envelope()
-        payload["row"] = dict(self.row)
-        return payload
-
-    @classmethod
-    def _fields_from_payload(cls, payload: Mapping[str, Any]) -> dict[str, Any]:
-        return {"row": dict(payload.get("row") or {})}
 
 
 @_register
@@ -1132,7 +951,7 @@ class SubmitRequest(WireMessage):
 
     graph: WireGraph | None = None
     graph_fingerprint: str = ""
-    requests: tuple = ()
+    requests: tuple[WireRequest, ...] = ()
     load: int | None = None
     backend: str | None = None
     backend_params: dict | None = None
@@ -1140,39 +959,6 @@ class SubmitRequest(WireMessage):
     deadline: float | None = None
     idempotency_key: str | None = None
     schema_version: int = WIRE_VERSION
-
-    def to_payload(self) -> dict[str, Any]:
-        payload = self._envelope()
-        payload["graph"] = self.graph.to_payload() if self.graph is not None else None
-        payload["graph_fingerprint"] = self.graph_fingerprint
-        payload["requests"] = [request.to_payload() for request in self.requests]
-        payload["load"] = self.load
-        payload["backend"] = self.backend
-        payload["backend_params"] = (
-            dict(self.backend_params) if self.backend_params is not None else None
-        )
-        payload["workload"] = self.workload
-        payload["deadline"] = self.deadline
-        payload["idempotency_key"] = self.idempotency_key
-        return payload
-
-    @classmethod
-    def _fields_from_payload(cls, payload: Mapping[str, Any]) -> dict[str, Any]:
-        params = payload.get("backend_params")
-        graph = payload.get("graph")
-        return {
-            "graph": WireGraph.from_payload(graph) if graph is not None else None,
-            "graph_fingerprint": payload.get("graph_fingerprint", ""),
-            "requests": tuple(
-                WireRequest.from_payload(entry) for entry in payload.get("requests", [])
-            ),
-            "load": payload.get("load"),
-            "backend": payload.get("backend"),
-            "backend_params": dict(params) if params is not None else None,
-            "workload": payload.get("workload", ""),
-            "deadline": payload.get("deadline"),
-            "idempotency_key": payload.get("idempotency_key"),
-        }
 
 
 @_register
@@ -1187,23 +973,6 @@ class SubmitReply(WireMessage):
     shed: int = 0
     duplicate: bool = False
     schema_version: int = WIRE_VERSION
-
-    def to_payload(self) -> dict[str, Any]:
-        payload = self._envelope()
-        payload["shard_id"] = self.shard_id
-        payload["accepted"] = self.accepted
-        payload["shed"] = self.shed
-        payload["duplicate"] = self.duplicate
-        return payload
-
-    @classmethod
-    def _fields_from_payload(cls, payload: Mapping[str, Any]) -> dict[str, Any]:
-        return {
-            "shard_id": payload.get("shard_id", ""),
-            "accepted": bool(payload.get("accepted", False)),
-            "shed": int(payload.get("shed", 0)),
-            "duplicate": bool(payload.get("duplicate", False)),
-        }
 
 
 @_register
@@ -1222,15 +991,6 @@ class DispatchRequest(WireMessage):
     deadline: float | None = None
     schema_version: int = WIRE_VERSION
 
-    def to_payload(self) -> dict[str, Any]:
-        payload = self._envelope()
-        payload["deadline"] = self.deadline
-        return payload
-
-    @classmethod
-    def _fields_from_payload(cls, payload: Mapping[str, Any]) -> dict[str, Any]:
-        return {"deadline": payload.get("deadline")}
-
 
 @_register
 @dataclass(frozen=True)
@@ -1240,21 +1000,8 @@ class DispatchShardReply(WireMessage):
     type: ClassVar[str] = "dispatch-shard"
 
     shard_id: str = ""
-    report: WireBatchReport = field(default_factory=WireBatchReport)
+    report: WireBatchReport = _required(default_factory=WireBatchReport)
     schema_version: int = WIRE_VERSION
-
-    def to_payload(self) -> dict[str, Any]:
-        payload = self._envelope()
-        payload["shard_id"] = self.shard_id
-        payload["report"] = self.report.to_payload()
-        return payload
-
-    @classmethod
-    def _fields_from_payload(cls, payload: Mapping[str, Any]) -> dict[str, Any]:
-        return {
-            "shard_id": payload.get("shard_id", ""),
-            "report": WireBatchReport.from_payload(payload["report"]),
-        }
 
 
 @_register
@@ -1270,25 +1017,8 @@ class DispatchDoneReply(WireMessage):
 
     dispatch_seconds: float = 0.0
     admission: WireAdmissionStats = field(default_factory=WireAdmissionStats)
-    expired: tuple = ()
+    expired: tuple[str, ...] = ()
     schema_version: int = WIRE_VERSION
-
-    def to_payload(self) -> dict[str, Any]:
-        payload = self._envelope()
-        payload["dispatch_seconds"] = self.dispatch_seconds
-        payload["admission"] = self.admission.to_payload()
-        payload["expired"] = list(self.expired)
-        return payload
-
-    @classmethod
-    def _fields_from_payload(cls, payload: Mapping[str, Any]) -> dict[str, Any]:
-        return {
-            "dispatch_seconds": float(payload.get("dispatch_seconds", 0.0)),
-            "admission": WireAdmissionStats.from_payload(
-                payload.get("admission") or WireAdmissionStats().to_payload()
-            ),
-            "expired": tuple(payload.get("expired", ())),
-        }
 
 
 @_register
@@ -1299,29 +1029,9 @@ class StatsReply(WireMessage):
     type: ClassVar[str] = "stats-reply"
 
     admission: WireAdmissionStats = field(default_factory=WireAdmissionStats)
-    queue_depths: dict = field(default_factory=dict)
+    queue_depths: dict[str, int] = field(default_factory=dict)
     shard_count: int = 0
     schema_version: int = WIRE_VERSION
-
-    def to_payload(self) -> dict[str, Any]:
-        payload = self._envelope()
-        payload["admission"] = self.admission.to_payload()
-        payload["queue_depths"] = dict(self.queue_depths)
-        payload["shard_count"] = self.shard_count
-        return payload
-
-    @classmethod
-    def _fields_from_payload(cls, payload: Mapping[str, Any]) -> dict[str, Any]:
-        return {
-            "admission": WireAdmissionStats.from_payload(
-                payload.get("admission") or WireAdmissionStats().to_payload()
-            ),
-            "queue_depths": {
-                shard_id: int(depth)
-                for shard_id, depth in (payload.get("queue_depths") or {}).items()
-            },
-            "shard_count": int(payload.get("shard_count", 0)),
-        }
 
 
 # -- elastic-tier messages: heartbeats, fault injection, artifact handoff ----------
@@ -1345,23 +1055,6 @@ class HeartbeatReply(WireMessage):
     queries_served: int = 0
     schema_version: int = WIRE_VERSION
 
-    def to_payload(self) -> dict[str, Any]:
-        payload = self._envelope()
-        payload["shard_id"] = self.shard_id
-        payload["healthy"] = self.healthy
-        payload["batches_served"] = self.batches_served
-        payload["queries_served"] = self.queries_served
-        return payload
-
-    @classmethod
-    def _fields_from_payload(cls, payload: Mapping[str, Any]) -> dict[str, Any]:
-        return {
-            "shard_id": payload.get("shard_id", ""),
-            "healthy": bool(payload.get("healthy", True)),
-            "batches_served": int(payload.get("batches_served", 0)),
-            "queries_served": int(payload.get("queries_served", 0)),
-        }
-
 
 @_register
 @dataclass(frozen=True)
@@ -1379,19 +1072,6 @@ class FaultInjectRequest(WireMessage):
     seconds: float = 0.0
     schema_version: int = WIRE_VERSION
 
-    def to_payload(self) -> dict[str, Any]:
-        payload = self._envelope()
-        payload["kind"] = self.kind
-        payload["seconds"] = self.seconds
-        return payload
-
-    @classmethod
-    def _fields_from_payload(cls, payload: Mapping[str, Any]) -> dict[str, Any]:
-        return {
-            "kind": payload.get("kind", ""),
-            "seconds": float(payload.get("seconds", 0.0)),
-        }
-
 
 @_register
 @dataclass(frozen=True)
@@ -1402,15 +1082,6 @@ class FaultInjectReply(WireMessage):
 
     applied: bool = True
     schema_version: int = WIRE_VERSION
-
-    def to_payload(self) -> dict[str, Any]:
-        payload = self._envelope()
-        payload["applied"] = self.applied
-        return payload
-
-    @classmethod
-    def _fields_from_payload(cls, payload: Mapping[str, Any]) -> dict[str, Any]:
-        return {"applied": bool(payload.get("applied", True))}
 
 
 @_register
@@ -1427,15 +1098,6 @@ class ArtifactExportRequest(WireMessage):
 
     fingerprint: str = ""
     schema_version: int = WIRE_VERSION
-
-    def to_payload(self) -> dict[str, Any]:
-        payload = self._envelope()
-        payload["fingerprint"] = self.fingerprint
-        return payload
-
-    @classmethod
-    def _fields_from_payload(cls, payload: Mapping[str, Any]) -> dict[str, Any]:
-        return {"fingerprint": payload.get("fingerprint", "")}
 
 
 @_register
@@ -1455,21 +1117,6 @@ class ArtifactExportReply(WireMessage):
     found: bool = False
     schema_version: int = WIRE_VERSION
 
-    def to_payload(self) -> dict[str, Any]:
-        payload = self._envelope()
-        payload["fingerprint"] = self.fingerprint
-        payload["segment"] = self.segment
-        payload["found"] = self.found
-        return payload
-
-    @classmethod
-    def _fields_from_payload(cls, payload: Mapping[str, Any]) -> dict[str, Any]:
-        return {
-            "fingerprint": payload.get("fingerprint", ""),
-            "segment": payload.get("segment"),
-            "found": bool(payload.get("found", False)),
-        }
-
 
 @_register
 @dataclass(frozen=True)
@@ -1482,19 +1129,6 @@ class ArtifactAdoptRequest(WireMessage):
     segment: str = ""
     schema_version: int = WIRE_VERSION
 
-    def to_payload(self) -> dict[str, Any]:
-        payload = self._envelope()
-        payload["fingerprint"] = self.fingerprint
-        payload["segment"] = self.segment
-        return payload
-
-    @classmethod
-    def _fields_from_payload(cls, payload: Mapping[str, Any]) -> dict[str, Any]:
-        return {
-            "fingerprint": payload.get("fingerprint", ""),
-            "segment": payload.get("segment", ""),
-        }
-
 
 @_register
 @dataclass(frozen=True)
@@ -1505,15 +1139,6 @@ class ArtifactAdoptReply(WireMessage):
 
     adopted: bool = False
     schema_version: int = WIRE_VERSION
-
-    def to_payload(self) -> dict[str, Any]:
-        payload = self._envelope()
-        payload["adopted"] = self.adopted
-        return payload
-
-    @classmethod
-    def _fields_from_payload(cls, payload: Mapping[str, Any]) -> dict[str, Any]:
-        return {"adopted": bool(payload.get("adopted", False))}
 
 
 # -- durability: write-ahead journal records ---------------------------------------
@@ -1535,29 +1160,9 @@ class JournalAdmit(WireMessage):
     key: str = ""
     shard_id: str = ""
     accepted: bool = False
-    shed_keys: tuple = ()
+    shed_keys: tuple[str, ...] = ()
     query: WireShardQuery | None = None
     schema_version: int = WIRE_VERSION
-
-    def to_payload(self) -> dict[str, Any]:
-        payload = self._envelope()
-        payload["key"] = self.key
-        payload["shard_id"] = self.shard_id
-        payload["accepted"] = self.accepted
-        payload["shed_keys"] = list(self.shed_keys)
-        payload["query"] = self.query.to_payload() if self.query is not None else None
-        return payload
-
-    @classmethod
-    def _fields_from_payload(cls, payload: Mapping[str, Any]) -> dict[str, Any]:
-        query = payload.get("query")
-        return {
-            "key": payload.get("key", ""),
-            "shard_id": payload.get("shard_id", ""),
-            "accepted": bool(payload.get("accepted", False)),
-            "shed_keys": tuple(payload.get("shed_keys") or ()),
-            "query": WireShardQuery.from_payload(query) if query is not None else None,
-        }
 
 
 @_register
@@ -1577,21 +1182,6 @@ class JournalComplete(WireMessage):
     shard_id: str = ""
     schema_version: int = WIRE_VERSION
 
-    def to_payload(self) -> dict[str, Any]:
-        payload = self._envelope()
-        payload["key"] = self.key
-        payload["fingerprint"] = self.fingerprint
-        payload["shard_id"] = self.shard_id
-        return payload
-
-    @classmethod
-    def _fields_from_payload(cls, payload: Mapping[str, Any]) -> dict[str, Any]:
-        return {
-            "key": payload.get("key", ""),
-            "fingerprint": payload.get("fingerprint", ""),
-            "shard_id": payload.get("shard_id", ""),
-        }
-
 
 @_register
 @dataclass(frozen=True)
@@ -1609,12 +1199,12 @@ class JournalCheckpoint(WireMessage):
 
     type: ClassVar[str] = "journal-checkpoint"
 
-    shard_ids: tuple = ()
+    shard_ids: tuple[str, ...] = ()
     next_shard_index: int = 0
-    seen_fingerprints: tuple = ()
-    pending: tuple = ()  # WireShardQuery, admission order
-    completed_keys: tuple = ()
-    warm: tuple = ()  # WireShardQuery exemplars, last-use order
+    seen_fingerprints: tuple[str, ...] = ()
+    pending: tuple[WireShardQuery, ...] = ()  # admission order
+    completed_keys: tuple[str, ...] = ()
+    warm: tuple[WireShardQuery, ...] = ()  # exemplars, last-use order
     auto_key_counter: int = 0
     admission: dict = field(default_factory=dict)  # shard -> stats dict
     lost_batches: int = 0
@@ -1622,65 +1212,7 @@ class JournalCheckpoint(WireMessage):
     failovers: int = 0
     duplicate_results: int = 0
     hot_ewma: dict = field(default_factory=dict)
-    replicas: dict = field(default_factory=dict)
+    replicas: dict[str, tuple[str, ...]] = field(default_factory=dict)
     planner_state: dict | None = None
     planner_version: int = 0
     schema_version: int = WIRE_VERSION
-
-    def to_payload(self) -> dict[str, Any]:
-        payload = self._envelope()
-        payload["shard_ids"] = list(self.shard_ids)
-        payload["next_shard_index"] = self.next_shard_index
-        payload["seen_fingerprints"] = list(self.seen_fingerprints)
-        payload["pending"] = [query.to_payload() for query in self.pending]
-        payload["completed_keys"] = list(self.completed_keys)
-        payload["warm"] = [query.to_payload() for query in self.warm]
-        payload["auto_key_counter"] = self.auto_key_counter
-        payload["admission"] = {shard: dict(stats) for shard, stats in self.admission.items()}
-        payload["lost_batches"] = self.lost_batches
-        payload["requeued_batches"] = self.requeued_batches
-        payload["failovers"] = self.failovers
-        payload["duplicate_results"] = self.duplicate_results
-        payload["hot_ewma"] = dict(self.hot_ewma)
-        payload["replicas"] = {key: list(owners) for key, owners in self.replicas.items()}
-        payload["planner_state"] = (
-            {key: dict(entry) for key, entry in self.planner_state.items()}
-            if self.planner_state is not None
-            else None
-        )
-        payload["planner_version"] = self.planner_version
-        return payload
-
-    @classmethod
-    def _fields_from_payload(cls, payload: Mapping[str, Any]) -> dict[str, Any]:
-        planner_state = payload.get("planner_state")
-        return {
-            "shard_ids": tuple(payload.get("shard_ids") or ()),
-            "next_shard_index": int(payload.get("next_shard_index", 0)),
-            "seen_fingerprints": tuple(payload.get("seen_fingerprints") or ()),
-            "pending": tuple(
-                WireShardQuery.from_payload(entry) for entry in payload.get("pending") or ()
-            ),
-            "completed_keys": tuple(payload.get("completed_keys") or ()),
-            "warm": tuple(
-                WireShardQuery.from_payload(entry) for entry in payload.get("warm") or ()
-            ),
-            "auto_key_counter": int(payload.get("auto_key_counter", 0)),
-            "admission": {
-                shard: dict(stats) for shard, stats in (payload.get("admission") or {}).items()
-            },
-            "lost_batches": int(payload.get("lost_batches", 0)),
-            "requeued_batches": int(payload.get("requeued_batches", 0)),
-            "failovers": int(payload.get("failovers", 0)),
-            "duplicate_results": int(payload.get("duplicate_results", 0)),
-            "hot_ewma": dict(payload.get("hot_ewma") or {}),
-            "replicas": {
-                key: tuple(owners) for key, owners in (payload.get("replicas") or {}).items()
-            },
-            "planner_state": (
-                {key: dict(entry) for key, entry in planner_state.items()}
-                if planner_state is not None
-                else None
-            ),
-            "planner_version": int(payload.get("planner_version", 0)),
-        }

@@ -10,9 +10,11 @@ coordinator-shaped :class:`ClusterClient` surface, and the deprecation /
 close-idempotency satellites.
 """
 
+import gc
 import socket
 import threading
 import warnings
+import weakref
 
 import pytest
 
@@ -332,6 +334,17 @@ def test_two_clients_share_one_graph_upload(gateway, graphs):
     assert _gateway_counter(coordinator, "repro_net_graph_uploads_total") == 1
     assert _gateway_counter(coordinator, "repro_net_need_graph_total") == 1
     assert _gateway_counter(coordinator, "repro_net_payloads_deduped_total") == 2
+
+
+def test_client_does_not_keep_submitted_graphs_alive(gateway):
+    """The client's graph-encode memo is weak: a dropped graph is freed."""
+    graph = random_regular_expander(48, degree=6, seed=7)
+    alive = weakref.ref(graph)
+    with ClusterClient(gateway.address, metrics=MetricsRegistry()) as client:
+        client.submit(graph, permutation_workload(graph, shift=1).requests[:1])
+        del graph
+        gc.collect()
+        assert alive() is None
 
 
 def test_negotiation_cache_eviction_forces_reupload(tmp_path, graphs):

@@ -11,6 +11,8 @@ identically and :meth:`BatchReport.signature` survives the wire byte for
 byte.
 """
 
+import typing
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -22,7 +24,6 @@ from repro.service.fingerprint import graph_fingerprint
 from repro.service.service import RoutingService
 from repro.wire import (
     CODEC_JSON,
-    HAVE_MSGPACK,
     WIRE_VERSION,
     ArtifactAdoptReply,
     ArtifactAdoptRequest,
@@ -36,8 +37,6 @@ from repro.wire import (
     FaultInjectRequest,
     HeartbeatReply,
     HeartbeatRequest,
-    Hello,
-    HelloReply,
     JournalAdmit,
     JournalCheckpoint,
     JournalComplete,
@@ -253,16 +252,6 @@ MESSAGE_STRATEGIES = {
     "shard-stats-request": st.just(ShardStatsRequest()),
     "stats-request": st.just(StatsRequest()),
     "error": st.builds(ErrorReply, code=names, message=st.text(max_size=30)),
-    "hello": st.builds(
-        Hello,
-        codecs=st.lists(st.sampled_from(["json", "msgpack"]), min_size=1, max_size=2).map(tuple),
-        features=st.lists(names, max_size=3).map(tuple),
-    ),
-    "hello-reply": st.builds(
-        HelloReply,
-        codec=st.sampled_from(["json", "msgpack"]),
-        features=st.lists(names, max_size=3).map(tuple),
-    ),
     "need-graph": st.builds(
         NeedGraphReply, fingerprints=st.lists(names, max_size=3).map(tuple)
     ),
@@ -355,9 +344,6 @@ def test_every_registered_type_has_a_strategy():
 @given(message=st.one_of(*MESSAGE_STRATEGIES.values()))
 def test_wire_round_trip_is_identity(message):
     assert message_from_wire(message.to_wire()) == message
-    # Pinning the JSON codec explicitly must round-trip too (msgpack-capable
-    # peers still answer JSON-only ones).
-    assert message_from_wire(message.to_wire(CODEC_JSON)) == message
 
 
 # -- versioning and tolerance ------------------------------------------------------
@@ -396,14 +382,15 @@ def test_typed_from_wire_checks_the_type():
 
 
 def test_json_codec_round_trips_payloads():
-    codec, body = encode_payload({"a": 1, "b": [1.5, None, True]}, CODEC_JSON)
-    assert codec == CODEC_JSON
-    assert decode_payload(codec, body) == {"a": 1, "b": [1.5, None, True]}
+    body = encode_payload({"a": 1, "b": [1.5, None, True]})
+    assert decode_payload(CODEC_JSON, body) == {"a": 1, "b": [1.5, None, True]}
 
 
 def test_unknown_codec_id_is_rejected():
-    with pytest.raises(WireDecodeError):
-        decode_payload(99, b"{}")
+    # JSON (id 0) is the only codec; every other id is unknown.
+    for codec in (1, 99):
+        with pytest.raises(WireDecodeError):
+            decode_payload(codec, b"{}")
 
 
 def test_non_dict_payload_is_rejected():
@@ -411,12 +398,106 @@ def test_non_dict_payload_is_rejected():
         decode_payload(CODEC_JSON, b"[1,2,3]")
 
 
-@pytest.mark.skipif(HAVE_MSGPACK, reason="msgpack installed: frames decode fine")
-def test_msgpack_frames_fail_loudly_without_the_package():
-    from repro.wire import CODEC_MSGPACK
+# -- malformed input ---------------------------------------------------------------
 
+#: The payload keys a decoder must find; the field default never stands in.
+REQUIRED_FIELDS = [
+    (WireGraph, "nodes"),
+    (WireGraph, "edges"),
+    (WireRequest, "source"),
+    (WireRequest, "destination"),
+    (WirePlan, "backend"),
+    (WireShardQuery, "fingerprint"),
+    (WireShardQuery, "backend"),
+    (WireRouteResult, "backend"),
+    (WireRouteResult, "delivered"),
+    (WireRouteResult, "total_tokens"),
+    (WireRouteResult, "query_rounds"),
+    (WireRouteResult, "preprocess_rounds"),
+    (WireQueryResult, "query_id"),
+    (WireQueryResult, "fingerprint"),
+    (WireQueryResult, "backend"),
+    (WireQueryResult, "outcome"),
+    (WireQueryResult, "cache_hit"),
+    (ShardProcessReply, "report"),
+    (DispatchShardReply, "report"),
+]
+
+#: Every non-optional ``int`` / ``float`` field of every registered message.
+NUMERIC_FIELDS = [
+    (cls, name)
+    for cls in sorted(_MESSAGE_TYPES.values(), key=lambda c: c.type)
+    for name, hint in typing.get_type_hints(cls).items()
+    if hint in (int, float) and name != "schema_version"
+]
+
+
+def _field_id(case):
+    return f"{case[0].__name__}.{case[1]}"
+
+
+@pytest.mark.parametrize("case", REQUIRED_FIELDS, ids=_field_id)
+def test_missing_required_field_is_rejected(case):
+    cls, name = case
+    payload = cls().to_payload()
+    del payload[name]
     with pytest.raises(WireDecodeError):
-        decode_payload(CODEC_MSGPACK, b"\x80")
+        decode_message(payload)
+
+
+@pytest.mark.parametrize("case", NUMERIC_FIELDS, ids=_field_id)
+def test_non_numeric_value_in_a_numeric_field_is_rejected(case):
+    cls, name = case
+    payload = cls().to_payload()
+    payload[name] = "not-a-number"
+    with pytest.raises(WireDecodeError):
+        decode_message(payload)
+
+
+# -- pinned bytes ------------------------------------------------------------------
+
+
+def test_wire_bytes_are_pinned():
+    # Round trips cannot catch a renamed key or a reordered payload; journal
+    # replay and the fingerprint-keyed negotiation caches depend on both.
+    assert Ping().to_wire() == b'\x00{"type":"ping","v":1}'
+    complete = JournalComplete(key="client-1", fingerprint="ffffffff", shard_id="shard-0")
+    assert complete.to_wire() == (
+        b'\x00{"type":"journal-complete","v":1,"key":"client-1",'
+        b'"fingerprint":"ffffffff","shard_id":"shard-0"}'
+    )
+    query = WireShardQuery(
+        fingerprint="fp-1",
+        graph=WireGraph(nodes=(0, 1, 2), edges=((0, 1, {"weight": 2}), (1, 2, {}))),
+        requests=(
+            WireRequest(source=0, destination=2, payload="x"),
+            WireRequest(source=2, destination=0),
+        ),
+        load=2,
+        backend="deterministic",
+        backend_params={"epsilon": 0.5},
+        workload="permutation",
+        plan=WirePlan(
+            backend="deterministic", backend_params={"seed": 7}, max_workers=2, fused=True
+        ),
+        idempotency_key="key-1",
+    )
+    assert query.to_wire() == (
+        b'\x00{"type":"shard-query","v":1,"fingerprint":"fp-1",'
+        b'"graph":{"type":"graph","v":1,"nodes":[0,1,2],'
+        b'"edges":[[0,1,{"weight":2}],[1,2,{}]]},"graph_ref":"",'
+        b'"requests":[{"type":"request","v":1,"source":0,"destination":2,"payload":"x"},'
+        b'{"type":"request","v":1,"source":2,"destination":0,"payload":null}],'
+        b'"load":2,"backend":"deterministic","backend_params":{"epsilon":0.5},'
+        b'"workload":"permutation","plan":{"type":"plan","v":1,"backend":"deterministic",'
+        b'"backend_params":{"seed":7},"kernel":"numpy","parallelism":"threads",'
+        b'"max_workers":2,"chunk_size":null,"fused":true,"artifact_transport":"pickle",'
+        b'"shard_hint":null,"policy":"fixed","reason":""},"idempotency_key":"key-1"}'
+    )
+    graph = random_regular_expander(16, degree=4, seed=3)
+    assert WireGraph.from_graph(graph).fingerprint() == (
+        "6a8533ae41f3fd339f2c2634eef5033aaf766e1105b3f719ddd1f3828937a9f6"
+    )
 
 
 def test_unencodable_values_raise_wire_encode_error():
