@@ -46,7 +46,6 @@ REPO_ROOT = Path(__file__).resolve().parent.parent
 BASELINE_PATH = Path(__file__).resolve().parent / "baseline.json"
 SUITE_PATH = REPO_ROOT / "bench-suite.json"
 NETWORK_PATH = REPO_ROOT / "bench-network.json"
-SHM_PATH = REPO_ROOT / "bench-shm.json"
 
 #: PR 6 blessed bench-network.json, the pre-fast-path wire overhead the
 #: network fast path (coalescing + fingerprint dedup + group commit) is
@@ -101,23 +100,9 @@ def bench_service(kernel_name: str, parallelism: str) -> float:
     from repro.service import RoutingService
     from repro.workloads import permutation_workload
 
-    from repro.planner import ExecutionPlan
-    from repro.service import shm_enabled
-
     n, batch = (64, 8) if _quick() else (256, 32)
     graph = random_regular_expander(n, degree=8, seed=1)
     workloads = [permutation_workload(graph, shift=shift) for shift in range(1, batch + 1)]
-    # Process mode ships artifacts over the shared-memory plane (the
-    # configuration the acceptance bar measures); thread mode keeps the
-    # historical no-plan path so numpy_speedup stays comparable to baseline.
-    plan = None
-    if parallelism == "processes" and shm_enabled():
-        plan = ExecutionPlan(
-            backend="deterministic",
-            kernel=kernel_name,
-            parallelism="processes",
-            artifact_transport="shm",
-        )
     with kernel(kernel_name):
         with RoutingService(
             epsilon=0.5,
@@ -129,7 +114,7 @@ def bench_service(kernel_name: str, parallelism: str) -> float:
             service.route(graph, workloads[0])
             start = time.perf_counter()
             for workload in workloads:
-                service.submit(graph, workload, plan=plan)
+                service.submit(graph, workload)
             report = service.route_batch()
             elapsed = time.perf_counter() - start
     assert report.all_delivered and report.preprocess_rounds_incurred == 0
@@ -145,11 +130,8 @@ def bench_cluster(kernel_name: str, parallelism: str) -> float:
     from repro.planner import ExecutionPlan
     from repro.workloads import permutation_workload
 
-    from repro.service import shm_enabled
-
     n, graph_count, passes = (64, 6, 2) if _quick() else (96, 12, 3)
     graphs = [random_regular_expander(n, degree=8, seed=seed) for seed in range(graph_count)]
-    transport = "shm" if parallelism == "processes" and shm_enabled() else "pickle"
     with kernel(kernel_name):
         with ClusterCoordinator(
             shard_count=4,
@@ -159,7 +141,6 @@ def bench_cluster(kernel_name: str, parallelism: str) -> float:
                 kernel=kernel_name,
                 parallelism=parallelism,
                 max_workers=2,
-                artifact_transport=transport,
             ),
             metrics=MetricsRegistry(),
         ) as coordinator:
@@ -232,72 +213,6 @@ def run_fused_gate() -> dict:
         "reference_sequential_seconds": sequential_seconds,
         "fused_speedup_vs_reference": sequential_seconds / fused_seconds,
     }
-
-
-def run_shm_bench() -> dict:
-    """Zero-copy shm transport vs pickle spill for process-pool serving.
-
-    Each measurement uses a *fresh* service so the workers are cold and the
-    artifact transport — publish+attach for shm, spill-write+unpickle for
-    pickle — is actually on the measured path, not hidden behind the
-    worker-side runner cache.  Threads are measured too so the
-    process-vs-threads ratio the acceptance bar cares about is recorded.
-    """
-    from repro.graphs.generators import random_regular_expander
-    from repro.kernels import kernel
-    from repro.metrics import MetricsRegistry
-    from repro.planner import ExecutionPlan
-    from repro.service import RoutingService, leaked_segments
-    from repro.workloads import permutation_workload
-
-    n, batch, repeats = (64, 6, 2) if _quick() else (128, 12, 3)
-    graph = random_regular_expander(n, degree=8, seed=1)
-    workloads = [permutation_workload(graph, shift=shift) for shift in range(1, batch + 1)]
-
-    def measure(parallelism: str, transport: str) -> float:
-        plan = ExecutionPlan(
-            backend="deterministic",
-            kernel="numpy",
-            parallelism=parallelism,
-            artifact_transport=transport,
-        )
-        samples = []
-        with kernel("numpy"):
-            for _ in range(repeats):
-                with RoutingService(
-                    epsilon=0.5, max_workers=2, parallelism=parallelism,
-                    metrics=MetricsRegistry(),
-                ) as service:
-                    service.route(graph, workloads[0])  # parent-side artifact only
-                    start = time.perf_counter()
-                    for workload in workloads:
-                        service.submit(graph, workload, plan=plan)
-                    report = service.route_batch()
-                    samples.append(time.perf_counter() - start)
-                assert report.all_delivered
-        return min(samples)
-
-    shm_seconds = measure("processes", "shm")
-    spill_seconds = measure("processes", "pickle")
-    thread_seconds = measure("threads", "pickle")
-    leaked = leaked_segments()
-    result = {
-        "meta": {"quick": _quick(), "n": n, "batch": batch, "cpus": os.cpu_count() or 1},
-        "shm_seconds": shm_seconds,
-        "spill_seconds": spill_seconds,
-        "threads_seconds": thread_seconds,
-        "shm_speedup_vs_spill": spill_seconds / shm_seconds,
-        "process_shm_speedup_vs_threads": thread_seconds / shm_seconds,
-        "leaked_segments": leaked,
-    }
-    print(
-        f"[harness] bench_shm: shm {shm_seconds:.3f}s  spill {spill_seconds:.3f}s"
-        f"  threads {thread_seconds:.3f}s"
-        f"  (shm vs spill x{result['shm_speedup_vs_spill']:.2f})",
-        flush=True,
-    )
-    assert not leaked, f"bench_shm leaked segments: {leaked}"
-    return result
 
 
 def bench_kernel_scheduler(kernel_name: str, parallelism: str) -> float:
@@ -423,8 +338,9 @@ def run_policy_gate(policy: str) -> dict:
     A scaled-down ``benchmarks/bench_planner.py``: a mixed workload set over
     two graph sizes, one service per fixed backend plus one under ``policy``,
     timed round-robin (so CPU drift hits every strategy equally) with the
-    min-over-repeats estimator.  Returns per-workload totals and the
-    worst-case policy-vs-best-fixed ratio; the caller gates on it.
+    min-over-repeats estimator.  Returns one row per (workload, graph size)
+    pair and the worst policy-vs-best-fixed ratio over all pairs; the caller
+    gates on it.
     """
     from repro.backends import available_backends
     from repro.graphs.generators import random_regular_expander
@@ -441,7 +357,9 @@ def run_policy_gate(policy: str) -> dict:
         ("adversarial-bipartite", {"seed": 2}),
     ]
     backends = available_backends()
-    totals: dict[str, dict[str, float]] = {}
+    # strategy -> (workload, n) -> best seconds: each graph size is its own
+    # pair, so the gate sees the larger graph too, not only the min over both.
+    totals: dict[str, dict[tuple[str, int], float]] = {}
 
     def timed_pass(service, graph, workloads, bucket, backend=None):
         for workload in workloads:
@@ -451,7 +369,8 @@ def run_policy_gate(policy: str) -> dict:
             report = service.route_batch()
             elapsed = time.perf_counter() - start
             assert report.all_delivered, f"{workload.name}: undelivered tokens"
-            bucket[workload.name] = min(bucket.get(workload.name, float("inf")), elapsed)
+            pair = (workload.name, graph.number_of_nodes())
+            bucket[pair] = min(bucket.get(pair, float("inf")), elapsed)
 
     converged = True
     for n in sizes:
@@ -490,23 +409,27 @@ def run_policy_gate(policy: str) -> dict:
 
     workload_rows = {}
     worst_ratio = 0.0
-    for name, _ in specs:
-        fixed = {b: totals[f"fixed:{b}"][name] for b in backends}
-        best = min(fixed.values())
-        mine = totals[f"policy:{policy}"][name]
-        ratio = mine / best
-        worst_ratio = max(worst_ratio, ratio)
-        workload_rows[name] = {
-            "policy_seconds": mine,
-            "best_fixed_seconds": best,
-            "best_fixed": min(fixed, key=lambda b: (fixed[b], b)),
-            "policy_vs_best": ratio,
-        }
-        print(
-            f"[harness] planner gate {name}: {policy} {mine:.4f}s vs best fixed "
-            f"{best:.4f}s (x{ratio:.2f})",
-            flush=True,
-        )
+    for n in sizes:
+        for name, _ in specs:
+            pair = (name, n)
+            fixed = {b: totals[f"fixed:{b}"][pair] for b in backends}
+            best = min(fixed.values())
+            mine = totals[f"policy:{policy}"][pair]
+            ratio = mine / best
+            worst_ratio = max(worst_ratio, ratio)
+            workload_rows[f"{name}@n={n}"] = {
+                "workload": name,
+                "n": n,
+                "policy_seconds": mine,
+                "best_fixed_seconds": best,
+                "best_fixed": min(fixed, key=lambda b: (fixed[b], b)),
+                "policy_vs_best": ratio,
+            }
+            print(
+                f"[harness] planner gate {name} n={n}: {policy} {mine:.4f}s vs best "
+                f"fixed {best:.4f}s (x{ratio:.2f})",
+                flush=True,
+            )
     return {
         "policy": policy,
         "sizes": list(sizes),
@@ -886,7 +809,6 @@ def main(argv: list[str] | None = None) -> int:
     )
     parser.add_argument("--output", type=Path, default=SUITE_PATH)
     parser.add_argument("--network-output", type=Path, default=NETWORK_PATH)
-    parser.add_argument("--shm-output", type=Path, default=SHM_PATH)
     parser.add_argument("--baseline", type=Path, default=BASELINE_PATH)
     parser.add_argument(
         "--no-assert",
@@ -911,14 +833,6 @@ def main(argv: list[str] | None = None) -> int:
         args.network_output.write_text(json.dumps(network, indent=2) + "\n")
         print(f"[harness] wrote {args.network_output}")
 
-    # The shm transport comparison always runs (quick and full): cold-worker
-    # shm-vs-spill is the direct measure of the zero-copy plane, independent
-    # of core count.
-    print("[harness] bench_shm ...", flush=True)
-    shm_bench = run_shm_bench()
-    args.shm_output.write_text(json.dumps(shm_bench, indent=2) + "\n")
-    print(f"[harness] wrote {args.shm_output}")
-
     if args.bless:
         bless(suite, args.baseline)
         return 0
@@ -939,16 +853,15 @@ def main(argv: list[str] | None = None) -> int:
         print(f"[harness] acceptance: fused batch routing {fused_speedup:.2f}x >= 5x ✓")
         # Process-beats-threads needs real parallelism to be observable; on a
         # single-core runner the process pool can only lose, so the bar is
-        # gated on the core count (the shm-vs-spill ratio above is the
-        # core-count-independent measure of the transport itself).
+        # gated on the core count.
         if (os.cpu_count() or 1) >= 2:
             for name in POOLED:
                 ratio = suite["benches"][name]["process_speedup_vs_threads"]
                 assert ratio >= 1.0, (
-                    f"{name}: shm-enabled process pool at {ratio:.2f}x of threads "
+                    f"{name}: process pool at {ratio:.2f}x of threads "
                     f"(acceptance bar 1.0x)"
                 )
-            print("[harness] acceptance: shm-enabled processes >= threads ✓")
+            print("[harness] acceptance: processes >= threads ✓")
 
     # Planner gate: the policy must converge and stay near the best fixed
     # backend.  The ceilings are deliberately loose: at the gate's sizes the
@@ -971,14 +884,6 @@ def main(argv: list[str] | None = None) -> int:
             f"[harness] planner gate: {args.policy} within "
             f"{gate['policy_vs_best_max']:.2f}x of best fixed ✓"
         )
-
-    # Teardown audit: any repro-* segment still in /dev/shm is a leak — the
-    # stores and finalizers above should have unlinked everything.
-    from repro.service import leaked_segments
-
-    leaked = leaked_segments()
-    assert not leaked, f"harness teardown: leaked shm segments {leaked}"
-    print("[harness] /dev/shm audit: no leaked segments ✓")
 
     if not args.baseline.exists():
         print(f"[harness] no baseline at {args.baseline}; run with --bless to create one")

@@ -17,9 +17,10 @@
 4. **Scale** — :meth:`add_shard` / :meth:`remove_shard` rebalance the ring
    and report how much artifact locality the change cost
    (:class:`~repro.cluster.ring.RebalanceStats` over every fingerprint the
-   coordinator has seen).  Under the local transport, warm artifacts whose
-   placement moved are handed to their new owners through the shared-memory
-   plane (:mod:`repro.service.shm`) instead of being rebuilt — counted by
+   coordinator has seen).  Warm artifacts whose placement moved are handed
+   to their new owners instead of being rebuilt — as the object itself
+   between in-process shards, as a spill file in the coordinator's handoff
+   directory between shard server processes — counted by
    ``repro_cluster_warm_handoffs_total``.
 
 Placement, admission, and per-shard serving are all deterministic given the
@@ -34,6 +35,7 @@ import shutil
 import tempfile
 import threading
 import time
+import weakref
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import nullcontext
 from dataclasses import dataclass, field, replace
@@ -343,7 +345,12 @@ class ClusterCoordinator:
         self.cache_capacity = cache_capacity
         self.transport = transport
         self.net_family = net_family
-        self._socket_dir: str | None = None
+        # tcp only: the shard sockets and the warm-handoff spill files live
+        # here.  Removed on close, or by the finalizer when a crashed
+        # coordinator is dropped without close, so a SIGKILLed shard's
+        # half-finished handoff leaks nothing.
+        self.handoff_dir: str | None = None
+        self._handoff_finalizer: weakref.finalize | None = None
         self._closed = False
         self.metrics = metrics if metrics is not None else default_registry()
         if default_plan is None:
@@ -455,10 +462,6 @@ class ClusterCoordinator:
             "Completions observed for an already-completed idempotency key "
             "(double execution — zero when exactly-once holds).",
         )
-        self._m_orphans_swept = self.metrics.counter(
-            "repro_cluster_orphan_segments_swept_total",
-            "Dead-owner shared-memory segments unlinked by the failover sweep.",
-        )
         if shard_ids is not None:
             for shard_id in shard_ids:
                 self.add_shard(shard_id)
@@ -507,15 +510,6 @@ class ClusterCoordinator:
             if self.journal is not None:
                 self.journal.record_complete(item, shard_id)
 
-    def _sweep_orphan_segments(self) -> int:
-        """Unlink shm segments whose owner process is gone (SIGKILLed shard)."""
-        from repro.service.shm import leaked_segments
-
-        swept = len(leaked_segments(reap=True))
-        if swept:
-            self._m_orphans_swept.inc(swept)
-        return swept
-
     # -- membership -----------------------------------------------------------
 
     @property
@@ -542,14 +536,16 @@ class ClusterCoordinator:
         # Imported lazily: repro.net depends on this module.
         from repro.net.shard_server import ShardServerConfig, start_shard_server
 
-        if self._socket_dir is None:
-            self._socket_dir = tempfile.mkdtemp(prefix="repro-net-")
+        if self.handoff_dir is None:
+            self.handoff_dir = tempfile.mkdtemp(prefix="repro-net-")
+            self._handoff_finalizer = weakref.finalize(self, shutil.rmtree, self.handoff_dir, True)
         config = ShardServerConfig(
             shard_id=shard_id,
             family=self.net_family,
             socket_path=(
-                f"{self._socket_dir}/{shard_id}.sock" if self.net_family == "unix" else None
+                f"{self.handoff_dir}/{shard_id}.sock" if self.net_family == "unix" else None
             ),
+            handoff_dir=self.handoff_dir,
             epsilon=self.epsilon,
             psi=self.psi,
             hierarchy_params=self.hierarchy_params,
@@ -599,7 +595,7 @@ class ClusterCoordinator:
         departing = self.workers.pop(shard_id)
         self._replicas.clear()
         # The departing shard's warm artifacts migrate to their new owners
-        # (shm plane when available) before its pools and segments go away.
+        # before its pools go away.
         self._migrate_warm(before, departed={shard_id: departing})
         departing.close()
         self._requeue_items(stranded, reason="rebalance")
@@ -620,11 +616,10 @@ class ClusterCoordinator:
 
         ``before`` maps each seen fingerprint to its pre-rebalance shard;
         ``departed`` supplies workers already removed from :attr:`workers`
-        (still open, about to close).  Local workers hand the artifact over
-        in-process; shard servers publish/attach a shared-memory segment via
-        the artifact-handoff wire messages, so the tcp transport rides the
-        same plane (with shm disabled a remote pair rebuilds instead).
-        Returns how many artifacts migrated.
+        (still open, about to close).  Local workers hand the artifact object
+        over in-process; shard servers write and load a spill file in
+        :attr:`handoff_dir` via the artifact-handoff wire messages, and the
+        file is deleted once adopted.  Returns how many artifacts migrated.
         """
         migrated = 0
         for fingerprint, old_owner in before.items():
@@ -645,6 +640,7 @@ class ClusterCoordinator:
                 adopted = target.adopt_artifact(handoff)
             except (ConnectionError, OSError):
                 adopted = False
+            handoff.discard()
             if adopted:
                 self._m_warm_handoffs.labels(path=handoff.path).inc()
                 migrated += 1
@@ -700,11 +696,6 @@ class ClusterCoordinator:
             worker.close()
         except (ConnectionError, OSError, RuntimeError):
             pass  # a dead shard may not shut down cleanly
-        if self.transport == "tcp":
-            # A SIGKILLed server process never unlinks its published RSHM
-            # segments, and its resource tracker dies with it — sweep the
-            # dead-owner segments now instead of leaking them until exit.
-            self._sweep_orphan_segments()
         requeued = self._requeue_items(list(in_flight) + stranded, reason="failover")
         self.membership_version += 1
         if self.journal is not None:
@@ -814,6 +805,7 @@ class ClusterCoordinator:
                 if adopted:
                     current.add(target_id)
                     self._m_replica_publishes.labels(path=handoff.path).inc()
+            handoff.discard()
             if current:
                 self._replicas[fingerprint] = tuple(
                     sid for sid in owners[1:] if sid in current
@@ -1139,9 +1131,8 @@ class ClusterCoordinator:
         for worker in self.workers.values():
             worker.close()
         self._keyer.close()
-        if self._socket_dir is not None:
-            shutil.rmtree(self._socket_dir, ignore_errors=True)
-            self._socket_dir = None
+        if self._handoff_finalizer is not None:
+            self._handoff_finalizer()
 
     def __enter__(self) -> "ClusterCoordinator":
         return self

@@ -21,12 +21,18 @@ argument by argument.
 normalised routing instance that any shard could serve (the fingerprint is
 computed once by the coordinator and must agree with the worker's own — both
 derive from the same service parameters).
+
+A rebalance moves warm artifacts between shards as a :class:`WarmHandoff`:
+in-process shards hand the artifact object over directly, and shard server
+processes exchange a spill file (the same file format and helpers the
+service's process pool uses, :mod:`repro.service.pool`).
 """
 
 from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
+from pathlib import Path
 from typing import Any, Mapping, Sequence
 
 import networkx as nx
@@ -37,9 +43,8 @@ from repro.hierarchy.builder import HierarchyParameters
 from repro.metrics import MetricsRegistry, default_registry
 from repro.planner import ExecutionPlan, QueryPlanner
 from repro.service.cache import ArtifactCache
+from repro.service.pool import read_spill, spill_path, write_spill
 from repro.service.service import DEFAULT_BACKEND, BatchReport, RoutingService
-from repro.service.shm import attach as shm_attach
-from repro.service.shm import shm_available, shm_enabled
 
 __all__ = ["FAULT_KINDS", "ShardCrashed", "ShardQuery", "ShardWorker", "WarmHandoff"]
 
@@ -60,19 +65,24 @@ class ShardCrashed(ConnectionError):
 class WarmHandoff:
     """One warm artifact in flight between shards during a rebalance.
 
-    Either ``segment`` names a shared-memory segment the adopter attaches
-    zero-copy, or ``artifact`` carries the object directly (the fallback when
-    the shm plane is disabled or unavailable).  Exactly one is set.
+    Either ``artifact`` carries the object directly (in-process shards), or
+    ``spill_file`` names the spill file a shard server wrote for another
+    process to load.  Exactly one is set.
     """
 
     fingerprint: str
-    segment: str | None = None
     artifact: PreprocessArtifact | None = None
+    spill_file: str | None = None
 
     @property
     def path(self) -> str:
-        """Which plane carries the bytes: ``"shm"`` or ``"direct"``."""
-        return "shm" if self.segment is not None else "direct"
+        """How the artifact travels: ``"direct"`` or ``"spill"``."""
+        return "spill" if self.spill_file is not None else "direct"
+
+    def discard(self) -> None:
+        """Delete the spill file once every adopter has loaded it."""
+        if self.spill_file is not None:
+            Path(self.spill_file).unlink(missing_ok=True)
 
 
 @dataclass(frozen=True)
@@ -213,30 +223,29 @@ class ShardWorker:
         """Fingerprints this shard holds warm in memory (coldest first)."""
         return self.service.cache.fingerprints()
 
-    def export_artifact(self, fingerprint: str) -> WarmHandoff | None:
+    def export_artifact(self, fingerprint: str, spill_dir: str | None = None) -> WarmHandoff | None:
         """Hand one warm artifact off for adoption elsewhere, or ``None``.
 
-        Prefers the shared-memory plane (the adopter attaches the published
-        segment zero-copy); when shm is disabled or publishing fails the
-        handoff degrades to carrying the artifact object directly, which is
-        still copy-free for the in-process local transport.
+        Without ``spill_dir`` the handoff carries the artifact object itself
+        (copy-free between in-process shards); with it the artifact is
+        written there as a spill file another process can load.
         """
         artifact = self.service.cache.peek(fingerprint)
         if artifact is None:
             return None
-        if shm_enabled() and shm_available():
-            info = self.service.publish_segment(fingerprint, artifact)
-            if info is not None:
-                return WarmHandoff(fingerprint=fingerprint, segment=info.name)
-        return WarmHandoff(fingerprint=fingerprint, artifact=artifact)
+        if spill_dir is None:
+            return WarmHandoff(fingerprint=fingerprint, artifact=artifact)
+        path = spill_path(spill_dir, fingerprint)
+        write_spill(path, artifact)
+        return WarmHandoff(fingerprint=fingerprint, spill_file=str(path))
 
     def adopt_artifact(self, handoff: WarmHandoff) -> bool:
         """Adopt a handoff into this shard's cache; ``True`` on success."""
         artifact = handoff.artifact
-        if artifact is None and handoff.segment is not None:
+        if artifact is None and handoff.spill_file is not None:
             try:
-                artifact = shm_attach(handoff.segment, metrics=self.metrics)
-            except (FileNotFoundError, ValueError):
+                artifact = read_spill(handoff.spill_file)
+            except FileNotFoundError:
                 artifact = None
         if artifact is None:
             return False

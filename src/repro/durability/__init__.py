@@ -14,8 +14,7 @@ The serving tier's exactly-once story lives here:
 * :func:`recover` — replays the journal tail into a fresh
   :class:`~repro.cluster.ClusterCoordinator`: re-owns unfinished batches onto
   the live ring, dedups completed idempotency keys, re-warms per-shard caches
-  in last-use order (signature parity with a crash-free run), and sweeps
-  orphaned shared-memory segments left by SIGKILLed processes.
+  in last-use order (signature parity with a crash-free run).
 * :class:`CoordinatorSupervisor` — owns the journal directory and the
   coordinator's lifecycle so chaos plans can SIGKILL the coordinator
   mid-stream (``coordinator-crash`` events) and bring a journal-recovered

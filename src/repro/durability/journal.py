@@ -40,6 +40,7 @@ from repro.wire.messages import (
     WireMessage,
     WireShardQuery,
     message_from_wire,
+    wire_graph_of,
 )
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard, types only
@@ -447,7 +448,13 @@ class CoordinatorJournal:
         the load generator's delta accounting must span the crash seamlessly.
         """
         with self._lock:
-            wire_query = WireShardQuery.from_shard_query(item) if decision.accepted else None
+            # Admits of one graph object share one encoding (the full graph
+            # still ships in every record: replay needs no peer cache).
+            wire_query = (
+                WireShardQuery.from_shard_query(item, wire_graph=wire_graph_of(item.graph))
+                if decision.accepted
+                else None
+            )
             shed_keys = tuple(
                 shed_key
                 for dropped in decision.shed

@@ -2,7 +2,7 @@
 
 ROADMAP item 2's closing move.  The cluster tier already knows how to scale
 (:meth:`~repro.cluster.ClusterCoordinator.add_shard` /
-:meth:`~repro.cluster.ClusterCoordinator.remove_shard` with warm shm
+:meth:`~repro.cluster.ClusterCoordinator.remove_shard` with warm artifact
 handoff), replicate (``replication_factor`` + hot-key EWMA), and fail over
 (:meth:`~repro.cluster.ClusterCoordinator.check_health` /
 :meth:`~repro.cluster.ClusterCoordinator.fail_shard`); this package adds the

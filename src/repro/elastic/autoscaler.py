@@ -3,7 +3,7 @@
 The autoscaler closes the elasticity loop: the coordinator exposes the
 signals (admission-queue depth, per-dispatch latency) and the mechanism
 (:meth:`~repro.cluster.ClusterCoordinator.add_shard` /
-:meth:`~repro.cluster.ClusterCoordinator.remove_shard` with warm shm
+:meth:`~repro.cluster.ClusterCoordinator.remove_shard` with warm artifact
 handoff); the autoscaler is the policy that connects them.
 
 It runs on **simulated time**, not a wall-clock thread: the open-loop load

@@ -65,7 +65,7 @@ def shuffler_table(shuffler: "Shuffler") -> ShufflerTable:
     """The shuffler's padded partner tables, built once and cached on the shuffler.
 
     Lazily attached (not a dataclass field), so artifacts pickled without
-    the table rebuild it on first use; the shm plane pre-warms it.
+    the table rebuild it on first use.
     """
     cached = getattr(shuffler, "_padded_table", None)
     if cached is not None:

@@ -36,6 +36,7 @@ import threading
 import time
 from collections import OrderedDict
 from dataclasses import dataclass, field
+from pathlib import Path
 
 import networkx as nx
 
@@ -123,6 +124,9 @@ class ShardServerConfig:
     #: Evicting a ref the coordinator believes acknowledged costs one
     #: need-graph round trip; it never costs correctness.
     graph_cache_size: int = 128
+    #: Where warm-handoff exports are written as spill files (owned and
+    #: removed by the coordinator); ``None`` disables cross-process handoff.
+    handoff_dir: str | None = None
 
     def __post_init__(self) -> None:
         if self.family not in net_address.FAMILIES:
@@ -211,17 +215,24 @@ async def serve_shard(config: ShardServerConfig, ready=None) -> None:
             worker.inject_fault(message.kind, seconds=message.seconds)
             return FaultInjectReply(applied=True)
         if isinstance(message, ArtifactExportRequest):
+            if config.handoff_dir is None:
+                return ArtifactExportReply(fingerprint=message.fingerprint, found=False)
             async with process_lock:
-                handoff = await asyncio.to_thread(worker.export_artifact, message.fingerprint)
-            # Direct (in-object) handoffs cannot cross the process boundary;
-            # only a published shm segment counts as found here.
-            if handoff is None or handoff.segment is None:
+                handoff = await asyncio.to_thread(
+                    worker.export_artifact, message.fingerprint, config.handoff_dir
+                )
+            if handoff is None:
                 return ArtifactExportReply(fingerprint=message.fingerprint, found=False)
             return ArtifactExportReply(
-                fingerprint=message.fingerprint, segment=handoff.segment, found=True
+                fingerprint=message.fingerprint, path=handoff.spill_file, found=True
             )
         if isinstance(message, ArtifactAdoptRequest):
-            handoff = WarmHandoff(fingerprint=message.fingerprint, segment=message.segment)
+            # Unpickling runs code: load only files from the handoff directory.
+            if config.handoff_dir is None or (
+                Path(message.path).resolve().parent != Path(config.handoff_dir).resolve()
+            ):
+                return ArtifactAdoptReply(adopted=False)
+            handoff = WarmHandoff(fingerprint=message.fingerprint, spill_file=message.path)
             async with process_lock:
                 adopted = await asyncio.to_thread(worker.adopt_artifact, handoff)
             return ArtifactAdoptReply(adopted=bool(adopted))
@@ -437,22 +448,22 @@ class RemoteShard:
             pass  # a dead or unreachable shard cannot be slowed or healed
 
     def export_artifact(self, fingerprint: str) -> WarmHandoff | None:
-        """Ask the server to publish ``fingerprint``'s artifact as a shm segment."""
+        """Ask the server to write ``fingerprint``'s artifact as a spill file."""
         reply = self._request(ArtifactExportRequest(fingerprint=fingerprint))
         if not isinstance(reply, ArtifactExportReply) or not reply.found:
             return None
-        return WarmHandoff(fingerprint=fingerprint, segment=reply.segment)
+        return WarmHandoff(fingerprint=fingerprint, spill_file=reply.path)
 
     def adopt_artifact(self, handoff: WarmHandoff) -> bool:
-        """Ship a segment-backed handoff to the server for adoption.
+        """Have the server load a handoff's spill file into its cache.
 
         Direct (in-object) handoffs cannot cross the process boundary; the
         artifact is rebuilt on first use instead.
         """
-        if handoff.segment is None:
+        if handoff.spill_file is None:
             return False
         reply = self._request(
-            ArtifactAdoptRequest(fingerprint=handoff.fingerprint, segment=handoff.segment)
+            ArtifactAdoptRequest(fingerprint=handoff.fingerprint, path=handoff.spill_file)
         )
         return isinstance(reply, ArtifactAdoptReply) and reply.adopted
 

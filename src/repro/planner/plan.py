@@ -13,9 +13,10 @@ the benchmarks all consume:
   :meth:`~repro.service.BatchReport.signature` records (so signatures stay
   byte-identical across thread/process execution of the same plan);
 * **physical fields** — ``kernel``, ``parallelism``, ``max_workers``,
-  ``chunk_size`` determine *how fast* it is computed; results are identical
-  by construction (the kernels are equivalence-tested), only wall-clock
-  changes;
+  ``chunk_size``, ``fused`` determine *how fast* it is computed; results are
+  identical by construction (the kernels are equivalence-tested), only
+  wall-clock changes.  How an artifact reaches worker processes is not a
+  plan field: it always travels as a spill file (:mod:`repro.service.pool`);
 * **placement** — ``shard_hint`` annotates which shard the cluster
   coordinator assigned; it is excluded from :attr:`plan_id` so the same
   decision keeps one identity wherever it lands.
@@ -34,13 +35,10 @@ from typing import Any, Mapping
 
 from repro.backends.base import canonical_backend_params
 
-__all__ = ["EXECUTION_MODES", "ARTIFACT_TRANSPORTS", "ExecutionPlan"]
+__all__ = ["EXECUTION_MODES", "ExecutionPlan"]
 
 #: The execution modes a plan may select for batch fan-out.
 EXECUTION_MODES = ("threads", "processes")
-
-#: How a preprocessed artifact reaches process-pool workers.
-ARTIFACT_TRANSPORTS = ("pickle", "shm")
 
 
 @dataclass(frozen=True)
@@ -68,11 +66,6 @@ class ExecutionPlan:
             fused batch kernel (``route_many``) when it has one.  Physical:
             fused results are identical to sequential by construction
             (``BatchReport.signature()`` parity), only wall-clock changes.
-        artifact_transport: how the artifact reaches process workers —
-            ``"pickle"`` (spill directory) or ``"shm"`` (zero-copy
-            shared-memory segments, see :mod:`repro.service.shm`).  Physical;
-            ignored by thread-mode slices, and the service falls back to the
-            spill path whenever shared memory is unavailable.
         shard_hint: the cluster shard the coordinator placed this plan on
             (``None`` outside the cluster tier; excluded from identity).
         policy: which planner policy produced the plan (``fixed`` plans come
@@ -89,7 +82,6 @@ class ExecutionPlan:
     max_workers: int | None = None
     chunk_size: int | None = None
     fused: bool = False
-    artifact_transport: str = "pickle"
     shard_hint: str | None = None
     policy: str = "fixed"
     reason: str = ""
@@ -102,11 +94,6 @@ class ExecutionPlan:
             )
         if self.chunk_size is not None and self.chunk_size < 1:
             raise ValueError("chunk_size must be at least 1 (or None)")
-        if self.artifact_transport not in ARTIFACT_TRANSPORTS:
-            raise ValueError(
-                f"unknown artifact_transport {self.artifact_transport!r}; "
-                f"expected one of {', '.join(ARTIFACT_TRANSPORTS)}"
-            )
 
     # -- identities ----------------------------------------------------------
 
@@ -142,7 +129,6 @@ class ExecutionPlan:
                 "max_workers": self.max_workers,
                 "chunk_size": self.chunk_size,
                 "fused": self.fused,
-                "artifact_transport": self.artifact_transport,
             },
             sort_keys=True,
             separators=(",", ":"),
@@ -169,7 +155,6 @@ class ExecutionPlan:
             "max_workers": self.max_workers,
             "chunk_size": self.chunk_size,
             "fused": self.fused,
-            "artifact_transport": self.artifact_transport,
             "shard_hint": self.shard_hint,
             "policy": self.policy,
             "reason": self.reason,
@@ -196,8 +181,6 @@ class ExecutionPlan:
             bits.append(f"chunk={self.effective_chunk_size}")
         if self.fused:
             bits.append("fused")
-        if self.artifact_transport != "pickle":
-            bits.append(f"transport={self.artifact_transport}")
         if self.shard_hint is not None:
             bits.append(f"shard={self.shard_hint}")
         bits.append(f"policy={self.policy}")

@@ -25,13 +25,6 @@ from repro.service.service import (
     RoutingQuery,
     RoutingService,
 )
-from repro.service.shm import (
-    ShmArtifactStore,
-    ShmSegmentInfo,
-    leaked_segments,
-    shm_available,
-    shm_enabled,
-)
 
 __all__ = [
     "ArtifactCache",
@@ -45,9 +38,4 @@ __all__ = [
     "QueryResult",
     "RoutingQuery",
     "RoutingService",
-    "ShmArtifactStore",
-    "ShmSegmentInfo",
-    "leaked_segments",
-    "shm_available",
-    "shm_enabled",
 ]

@@ -206,9 +206,9 @@ class ArtifactCache:
         """Insert an artifact handed off from another cache, memory tier only.
 
         Unlike :meth:`put` this neither counts as a store nor writes the disk
-        tier: adopted artifacts arrive via the shared-memory plane during
-        cluster rebalances, and re-pickling a zero-copy view to disk would
-        duplicate exactly the bytes the handoff avoided copying.
+        tier: adopted artifacts arrive by warm handoff during cluster
+        rebalances and are not new builds, so they cost the adopting shard
+        no disk write.
         """
         artifact.fingerprint = fingerprint
         with self._lock:

@@ -10,9 +10,14 @@ instead:
   round/diagnostic info) to the parent for caching.
 * **Routes** send only the query (fingerprint, requests, load); the
   artifact travels through a *spill directory* — the parent pickles each
-  distinct artifact to disk once, and each worker process loads it at most
-  once into its module-level runner cache (``artifact once per worker``).
-  Subsequent queries for the same fingerprint hit the warm runner directly.
+  distinct artifact to disk once (:func:`write_spill`), and each worker
+  process loads it at most once (:func:`read_spill`) into its module-level
+  runner cache (``artifact once per worker``).  Subsequent queries for the
+  same fingerprint hit the warm runner directly.
+
+Spill files are the only way an artifact crosses a process boundary: the
+cluster's warm handoff between shard server processes writes and reads the
+same files through the same two helpers.
 
 Everything here is module-level so ``ProcessPoolExecutor`` can pickle task
 references; the runner cache survives for the life of the worker process
@@ -48,8 +53,9 @@ __all__ = [
     "build_in_worker",
     "route_in_worker",
     "route_group_in_worker",
-    "runner_cache_limit",
+    "read_spill",
     "spill_path",
+    "write_spill",
 ]
 
 
@@ -87,7 +93,6 @@ class RouteTask:
     params: Mapping[str, Any] = field(default_factory=dict)
     spill_dir: str | None = None
     kernel: str = "numpy"
-    shm_segment: str | None = None
 
 
 @dataclass(frozen=True)
@@ -97,8 +102,8 @@ class FusedRouteTask:
     The worker routes every group through the backend's ``route_many`` (one
     stacked kernel pass) when the backend supports fusion, falling back to
     per-group ``route`` calls otherwise; per-group results are identical
-    either way.  Artifact transport matches :class:`RouteTask` — shared
-    memory first (``shm_segment``), spill directory second.
+    either way.  The artifact arrives as for :class:`RouteTask`, through the
+    spill directory.
     """
 
     fingerprint: str
@@ -109,12 +114,25 @@ class FusedRouteTask:
     params: Mapping[str, Any] = field(default_factory=dict)
     spill_dir: str | None = None
     kernel: str = "numpy"
-    shm_segment: str | None = None
 
 
 def spill_path(spill_dir: str | Path, fingerprint: str) -> Path:
     """Where the parent spills (and workers load) the artifact for ``fingerprint``."""
     return Path(spill_dir) / f"{fingerprint}.artifact.pkl"
+
+
+def write_spill(path: Path, artifact: PreprocessArtifact) -> None:
+    """Pickle ``artifact`` to ``path`` atomically (readers never see a torn file)."""
+    staging = path.with_suffix(".tmp")
+    with open(staging, "wb") as handle:
+        pickle.dump(artifact, handle)
+    staging.replace(path)
+
+
+def read_spill(path: str | Path) -> PreprocessArtifact:
+    """Load an artifact :func:`write_spill` wrote."""
+    with open(path, "rb") as handle:
+        return pickle.load(handle)
 
 
 #: fingerprint -> query-ready backend, per worker process (LRU, bounded).
@@ -123,16 +141,6 @@ _RUNNERS: dict[str, RoutingBackend] = {}
 #: Most runners a worker process retains; the parent's ArtifactCache bounds
 #: memory in the coordinator process and this bounds it in the workers.
 _RUNNER_CACHE_LIMIT = max(1, int(os.environ.get("REPRO_POOL_RUNNER_CACHE", "16")))
-
-
-def runner_cache_limit() -> int:
-    """How many runners each worker process retains (``REPRO_POOL_RUNNER_CACHE``).
-
-    The parent mirrors worker runner caches with the same bound to decide
-    when re-spilling an artifact would be redundant (see
-    ``RoutingService._route_batch_processes``).
-    """
-    return _RUNNER_CACHE_LIMIT
 
 
 def _cache_runner(fingerprint: str, runner: RoutingBackend) -> None:
@@ -181,20 +189,10 @@ def _runner_for(task: RouteTask | FusedRouteTask) -> tuple[RoutingBackend, bool]
         return runner, True
     factory = backend_factory(task.backend)
     artifact = None
-    if task.shm_segment is not None and supports_artifacts(factory):
-        # Zero-copy path: the parent published the artifact to a shared
-        # segment; the rebuilt artifact's arrays are views into shared pages.
-        try:
-            from repro.service.shm import attach
-
-            artifact = attach(task.shm_segment)
-        except (FileNotFoundError, ValueError):
-            artifact = None  # segment gone or unreadable: fall back to spill
-    if artifact is None and task.spill_dir is not None and supports_artifacts(factory):
+    if task.spill_dir is not None and supports_artifacts(factory):
         path = spill_path(task.spill_dir, task.fingerprint)
         if path.exists():
-            with open(path, "rb") as handle:
-                artifact = pickle.load(handle)
+            artifact = read_spill(path)
     if artifact is not None:
         graph = task.graph if task.graph is not None else _artifact_graph(artifact)
         if graph is None:

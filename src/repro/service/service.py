@@ -46,7 +46,6 @@ from __future__ import annotations
 
 import inspect
 import json
-import pickle
 import shutil
 import tempfile
 import time
@@ -86,10 +85,9 @@ from repro.service.pool import (
     build_in_worker,
     route_group_in_worker,
     route_in_worker,
-    runner_cache_limit,
     spill_path,
+    write_spill,
 )
-from repro.service.shm import ShmArtifactStore, shm_enabled
 from repro.workloads import Workload
 
 __all__ = [
@@ -552,12 +550,6 @@ class RoutingService:
             "Worker-process runner resolutions (warm cache hit vs cold load).",
             labels=("state",),
         )
-        self._m_spill_skipped = self.metrics.counter(
-            "repro_service_pool_spill_skipped_total",
-            "Artifact spill writes skipped, by reason (shm transport or "
-            "worker runner cache already warm).",
-            labels=("reason",),
-        )
         self._m_fused_batches = self.metrics.counter(
             "repro_service_fused_batches_total",
             "Same-fingerprint query groups routed through one fused kernel pass.",
@@ -572,14 +564,6 @@ class RoutingService:
         # Insertion-ordered so the oldest spilled artifacts trim first.
         self._spilled: dict[str, None] = {}
         self._spill_finalizer: weakref.finalize | None = None
-        # Zero-copy artifact plane for process-mode slices whose plan asks
-        # for artifact_transport="shm"; created lazily, unlinked on close.
-        self._shm_store: ShmArtifactStore | None = None
-        # Parent-side mirror of the worker processes' runner caches (same
-        # LRU bound).  Exact when the pool has one worker — which is when the
-        # redundant-spill skip is applied; with more workers a task may land
-        # on a cold sibling, so the mirror is advisory only.
-        self._worker_warm: OrderedDict[str, None] = OrderedDict()
         self._closed = False
         self._pending: list[RoutingQuery] = []
         self._next_query_id = 0
@@ -655,11 +639,7 @@ class RoutingService:
         """Write ``artifact`` to the spill directory once, for worker processes."""
         if fingerprint in self._spilled:
             return
-        path = spill_path(self._ensure_spill_dir(), fingerprint)
-        staging = path.with_suffix(".tmp")
-        with open(staging, "wb") as handle:
-            pickle.dump(artifact, handle)
-        staging.replace(path)
+        write_spill(spill_path(self._ensure_spill_dir(), fingerprint), artifact)
         self._spilled[fingerprint] = None
 
     def _trim_spill_dir(self, keep: set[str]) -> None:
@@ -681,54 +661,6 @@ class RoutingService:
             del self._spilled[fingerprint]
             spill_path(self._spill_dir, fingerprint).unlink(missing_ok=True)
 
-    def _publish_shm(self, fingerprint: str, artifact: PreprocessArtifact):
-        """Publish ``artifact`` to the shm plane; ``None`` when unavailable.
-
-        Failures (platform without /dev/shm, segment exhaustion) degrade to
-        the spill path rather than failing the batch.
-        """
-        try:
-            if self._shm_store is None:
-                self._shm_store = ShmArtifactStore(metrics=self.metrics)
-            info = self._shm_store.segment_for(fingerprint)
-            if info is None:
-                info = self._shm_store.publish(fingerprint, artifact)
-            return info
-        except Exception:
-            return None
-
-    def publish_segment(self, fingerprint: str, artifact: PreprocessArtifact):
-        """Publish ``artifact`` on this service's shm plane (idempotent).
-
-        Returns the :class:`~repro.service.shm.ShmSegmentInfo`, or ``None``
-        when the plane is unavailable.  The cluster's warm-key handoff calls
-        this to export a shard's artifact for zero-copy adoption elsewhere;
-        the segment lives until the store trims it or the service closes.
-        """
-        return self._publish_shm(fingerprint, artifact)
-
-    def _note_worker_task(self, fingerprint: str) -> None:
-        """Mirror one worker-side runner-cache touch (LRU, same bound)."""
-        self._worker_warm[fingerprint] = None
-        self._worker_warm.move_to_end(fingerprint)
-        while len(self._worker_warm) > runner_cache_limit():
-            self._worker_warm.popitem(last=False)
-
-    def _maybe_spill(
-        self,
-        fingerprint: str,
-        artifact: PreprocessArtifact,
-        *,
-        skip_reason: str | None,
-    ) -> None:
-        """Spill ``artifact`` unless already spilled or redundant (counted)."""
-        if fingerprint in self._spilled:
-            return
-        if skip_reason is not None:
-            self._m_spill_skipped.labels(reason=skip_reason).inc()
-            return
-        self._spill_artifact(fingerprint, artifact)
-
     def close(self) -> None:
         """Shut the worker pool down and remove the artifact spill directory.
 
@@ -749,10 +681,6 @@ class RoutingService:
             self._spill_finalizer = None
         self._spill_dir = None
         self._spilled.clear()
-        if self._shm_store is not None:
-            self._shm_store.close()
-            self._shm_store = None
-        self._worker_warm.clear()
 
     def __enter__(self) -> "RoutingService":
         return self
@@ -1255,41 +1183,6 @@ class RoutingService:
             return query.plan.kernel if query.plan is not None else default_kernel
 
         self._trim_spill_dir(keep=set(by_fingerprint))
-        if self._shm_store is not None:
-            self._shm_store.trim(
-                max(16, 4 * getattr(self.cache, "capacity", 4)),
-                keep=set(by_fingerprint),
-            )
-        # The pool mirror is only exact with a single worker process: a task
-        # can otherwise land on a sibling whose runner cache never saw the
-        # fingerprint, so the redundant-spill skip stays off.
-        single_worker = getattr(pool, "_max_workers", 0) == 1
-
-        shm_segments: dict[str, str] = {}
-
-        def wants_shm(group: list[RoutingQuery]) -> bool:
-            plan = group[0].plan
-            return (
-                plan is not None
-                and plan.artifact_transport == "shm"
-                and shm_enabled()
-                and supports_artifacts(backend_factory(group[0].backend))
-            )
-
-        def ship(fingerprint: str, artifact: PreprocessArtifact, group) -> None:
-            """Make the artifact reachable by workers: shm first, spill second."""
-            if wants_shm(group):
-                info = self._publish_shm(fingerprint, artifact)
-                if info is not None:
-                    shm_segments[fingerprint] = info.name
-                    self._maybe_spill(fingerprint, artifact, skip_reason="shm")
-                    return
-            skip = (
-                "runner-warm"
-                if single_worker and fingerprint in self._worker_warm
-                else None
-            )
-            self._maybe_spill(fingerprint, artifact, skip_reason=skip)
 
         warm: dict[str, bool] = {}
         cold: dict[str, RoutingQuery] = {}
@@ -1302,7 +1195,7 @@ class RoutingService:
             if cached is not None:
                 warm[fingerprint] = True
                 report.preprocess_rounds_reused += cached.preprocessing_rounds
-                ship(fingerprint, cached, group)
+                self._spill_artifact(fingerprint, cached)
             else:
                 warm[fingerprint] = False
                 cold[fingerprint] = query
@@ -1324,11 +1217,9 @@ class RoutingService:
             self._m_pool_tasks.labels(kind="build").inc(len(futures))
             for fingerprint, future in futures.items():
                 info, artifact = future.result()
-                # The building worker retained the runner in its cache.
-                self._note_worker_task(fingerprint)
                 if artifact is not None:
                     self.cache.put(fingerprint, artifact)
-                    ship(fingerprint, artifact, by_fingerprint[fingerprint])
+                    self._spill_artifact(fingerprint, artifact)
                     report.preprocess_rounds_incurred += artifact.preprocessing_rounds
                 else:
                     report.preprocess_rounds_incurred += info.rounds
@@ -1344,21 +1235,15 @@ class RoutingService:
         spill = str(self._spill_dir) if self._spill_dir is not None else None
 
         def task_graph(query: RoutingQuery) -> nx.Graph | None:
-            # Spilled and shm-published artifacts carry their own graph;
-            # those queries ship only the request list.  Queries relying on
-            # the runner-warm skip still ship the graph so a mirror miss
-            # degrades to a (slow but correct) in-worker rebuild.
-            reachable = (
-                query.fingerprint in self._spilled
-                or query.fingerprint in shm_segments
-            )
-            return None if reachable else query.graph
+            # Spilled artifacts carry their own graph, so those queries ship
+            # only the request list; backends without artifacts rebuild from
+            # the graph in the worker.
+            return None if query.fingerprint in self._spilled else query.graph
 
         solo_futures = []
         fused_futures = []
         for fingerprint, group in by_fingerprint.items():
             plan = group[0].plan
-            self._note_worker_task(fingerprint)
             if (
                 plan is not None
                 and plan.fused
@@ -1374,7 +1259,6 @@ class RoutingService:
                     params=self._resolved_backend_params(group[0]),
                     spill_dir=spill,
                     kernel=query_kernel(group[0]),
-                    shm_segment=shm_segments.get(fingerprint),
                 )
                 fused_futures.append(
                     (group, pool.submit(route_group_in_worker, task))
@@ -1391,7 +1275,6 @@ class RoutingService:
                     params=self._resolved_backend_params(query),
                     spill_dir=spill,
                     kernel=query_kernel(query),
-                    shm_segment=shm_segments.get(query.fingerprint),
                 )
                 solo_futures.append((query, pool.submit(route_in_worker, task)))
         self._m_pool_tasks.labels(kind="route").inc(

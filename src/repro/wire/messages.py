@@ -485,7 +485,6 @@ class WirePlan(WireMessage):
     max_workers: int | None = None
     chunk_size: int | None = None
     fused: bool = False
-    artifact_transport: str = "pickle"
     shard_hint: str | None = None
     policy: str = "fixed"
     reason: str = ""
@@ -501,7 +500,6 @@ class WirePlan(WireMessage):
             max_workers=plan.max_workers,
             chunk_size=plan.chunk_size,
             fused=plan.fused,
-            artifact_transport=plan.artifact_transport,
             shard_hint=plan.shard_hint,
             policy=plan.policy,
             reason=plan.reason,
@@ -516,7 +514,6 @@ class WirePlan(WireMessage):
             max_workers=self.max_workers,
             chunk_size=self.chunk_size,
             fused=self.fused,
-            artifact_transport=self.artifact_transport,
             shard_hint=self.shard_hint,
             policy=self.policy,
             reason=self.reason,
@@ -560,13 +557,15 @@ class WireShardQuery(WireMessage):
 
         With ``omit_graph`` the query ships only ``graph_ref`` — the sender
         must guarantee the receiver can resolve it (graph table or a
-        previously acknowledged upload).
+        previously acknowledged upload).  Without it the full graph ships
+        and ``graph_ref`` stays empty, whether or not ``wire_graph`` was
+        given, so journal records do not depend on how the caller encoded.
         """
         graph = wire_graph if wire_graph is not None else WireGraph.from_graph(query.graph)
         return cls(
             fingerprint=query.fingerprint,
             graph=None if omit_graph else graph,
-            graph_ref=graph.fingerprint() if (omit_graph or wire_graph is not None) else "",
+            graph_ref=graph.fingerprint() if omit_graph else "",
             requests=tuple(WireRequest.from_request(request) for request in query.requests),
             load=query.load,
             backend=query.backend,
@@ -1087,11 +1086,11 @@ class FaultInjectReply(WireMessage):
 @_register
 @dataclass(frozen=True)
 class ArtifactExportRequest(WireMessage):
-    """Coordinator → shard: publish one warm artifact for cross-process adoption.
+    """Coordinator → shard: spill one warm artifact for cross-process adoption.
 
-    The shard answers with the shared-memory segment name carrying the
-    artifact; the bytes themselves never travel on this connection (that is
-    the point — the shm plane is the data plane, the wire is control).
+    The shard writes the artifact as a spill file into the coordinator's
+    handoff directory and answers with its path; the bytes themselves never
+    travel on this connection.
     """
 
     type: ClassVar[str] = "artifact-export"
@@ -1103,17 +1102,16 @@ class ArtifactExportRequest(WireMessage):
 @_register
 @dataclass(frozen=True)
 class ArtifactExportReply(WireMessage):
-    """Shard → coordinator: the published segment, or ``found=False``.
+    """Shard → coordinator: the written spill file, or ``found=False``.
 
-    ``found`` is false when the fingerprint is not warm on this shard or the
-    shm plane is disabled — direct (in-object) handoff cannot cross a process
-    boundary, so the adopter rebuilds instead.
+    ``found`` is false when the fingerprint is not warm on this shard (or
+    the shard has no handoff directory); the adopter then rebuilds instead.
     """
 
     type: ClassVar[str] = "artifact-export-reply"
 
     fingerprint: str = ""
-    segment: str | None = None
+    path: str | None = None
     found: bool = False
     schema_version: int = WIRE_VERSION
 
@@ -1121,19 +1119,19 @@ class ArtifactExportReply(WireMessage):
 @_register
 @dataclass(frozen=True)
 class ArtifactAdoptRequest(WireMessage):
-    """Coordinator → shard: attach a published segment and warm the cache with it."""
+    """Coordinator → shard: load a spill file and warm the cache with it."""
 
     type: ClassVar[str] = "artifact-adopt"
 
     fingerprint: str = ""
-    segment: str = ""
+    path: str = ""
     schema_version: int = WIRE_VERSION
 
 
 @_register
 @dataclass(frozen=True)
 class ArtifactAdoptReply(WireMessage):
-    """Shard → coordinator: whether the segment was attached and adopted."""
+    """Shard → coordinator: whether the spill file was loaded and adopted."""
 
     type: ClassVar[str] = "artifact-adopt-reply"
 

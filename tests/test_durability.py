@@ -7,12 +7,13 @@ admitted batch (``lost_batches == 0``), serve no batch twice
 :meth:`ClusterReport.signature` as a crash-free run — on the local and the
 tcp transport alike.  Around it: WAL framing and torn-tail replay, checkpoint
 rotation/pruning, the truncate-at-every-boundary invariants of
-:func:`read_journal_state`, submit dedup, orphaned-shm reaping, and the
-shard-spawn failure satellite.
+:func:`read_journal_state`, submit dedup, admit encoding, handoff-file
+cleanup after a shard SIGKILL, and the shard-spawn failure satellite.
 """
 
-import multiprocessing
-import os
+import gc
+from dataclasses import replace
+from pathlib import Path
 
 import pytest
 
@@ -31,9 +32,14 @@ from repro.metrics import MetricsRegistry
 from repro.net import ShardSpawnError
 from repro.net.shard_server import ShardServerConfig, start_shard_server
 from repro.planner import ExecutionPlan
-from repro.service.shm import SEGMENT_PREFIX as SHM_PREFIX
-from repro.service.shm import leaked_segments
-from repro.wire import JournalAdmit, JournalCheckpoint, JournalComplete, Ping, WireShardQuery
+from repro.wire import (
+    JournalAdmit,
+    JournalCheckpoint,
+    JournalComplete,
+    Ping,
+    WireGraph,
+    WireShardQuery,
+)
 from repro.workloads import permutation_workload
 
 PLAN = ExecutionPlan(backend="deterministic", max_workers=2)
@@ -514,6 +520,7 @@ def _merged_signature(report):
 
 
 def _crash_parity_run(tmp_path, transport):
+    """Run the crash recipe; returns every incarnation's handoff directory."""
     kwargs, generator = _chaos_recipe(transport)
     baseline_coordinator = ClusterCoordinator(**{**kwargs, "metrics": MetricsRegistry()})
     with baseline_coordinator:
@@ -526,6 +533,11 @@ def _crash_parity_run(tmp_path, transport):
             fault_plan=FaultPlan.coordinator_crash(at=0.23),
             supervisor=supervisor,
         )
+        handoff_dirs = [
+            baseline_coordinator.handoff_dir,
+            coordinator.handoff_dir,
+            supervisor.coordinator.handoff_dir,
+        ]
     assert supervisor.crashes == 1
     assert len(supervisor.recoveries) == 1
     assert supervisor.recoveries[0].batches_recovered > 0
@@ -535,6 +547,7 @@ def _crash_parity_run(tmp_path, transport):
     assert _merged_signature(chaos) == _merged_signature(baseline)
     applied = [row for row in chaos.fault_events if row["applied"]]
     assert [row["kind"] for row in applied] == ["coordinator-crash"]
+    return handoff_dirs
 
 
 def test_local_coordinator_crash_recovers_with_signature_parity(tmp_path):
@@ -544,38 +557,65 @@ def test_local_coordinator_crash_recovers_with_signature_parity(tmp_path):
 @pytest.mark.chaos
 def test_tcp_coordinator_crash_recovers_with_signature_parity(tmp_path):
     """SIGKILLs real shard server processes; the journal still recovers a
-    byte-identical run, and the orphaned shm segments get swept."""
-    _crash_parity_run(tmp_path, "tcp")
-    assert leaked_segments() == []  # the sweep left /dev/shm clean
+    byte-identical run, and no handoff directory outlives its coordinator."""
+    handoff_dirs = _crash_parity_run(tmp_path, "tcp")
+    assert all(handoff_dirs)
+    gc.collect()  # the crashed incarnation was dropped without close()
+    assert not any(Path(directory).exists() for directory in handoff_dirs)
 
 
-# -- orphaned shm segments ---------------------------------------------------------
+# -- warm-handoff files ------------------------------------------------------------
 
 
-@pytest.mark.skipif(not os.path.isdir("/dev/shm"), reason="no /dev/shm on this platform")
-def test_leaked_segments_reaps_only_dead_owners():
-    probe = multiprocessing.get_context("spawn").Process(target=int)
-    probe.start()
-    dead_pid = probe.pid
-    probe.join()
-    orphan = f"{SHM_PREFIX}-{dead_pid}-0-deadbeef"
-    live = f"{SHM_PREFIX}-{os.getpid()}-0-cafebabe"
-    for name in (orphan, live):
-        with open(os.path.join("/dev/shm", name), "wb") as handle:
-            handle.write(b"x")
-    try:
-        assert orphan in leaked_segments()
-        reaped = leaked_segments(reap=True)
-        assert orphan in reaped
-        assert live not in reaped  # live owner: never touched
-        assert not os.path.exists(os.path.join("/dev/shm", orphan))
-        assert os.path.exists(os.path.join("/dev/shm", live))
-    finally:
-        for name in (orphan, live):
-            try:
-                os.unlink(os.path.join("/dev/shm", name))
-            except FileNotFoundError:
-                pass
+@pytest.mark.chaos
+def test_sigkilled_shard_leaves_no_handoff_files(graphs):
+    """A shard killed after writing a handoff spill file leaks nothing: the
+    file lives in the coordinator's handoff directory, removed on close."""
+    coordinator = ClusterCoordinator(**_coordinator_kwargs(shard_count=2, transport="tcp"))
+    with coordinator:
+        for graph in graphs:
+            coordinator.submit(graph, permutation_workload(graph, shift=1))
+        coordinator.dispatch()
+        fingerprint = coordinator.fingerprint(graphs[0])
+        owner = coordinator.ring.assign(fingerprint)
+        handoff = coordinator.workers[owner].export_artifact(fingerprint)
+        assert handoff is not None and handoff.path == "spill"
+        spill_file = Path(handoff.spill_file)
+        assert spill_file.parent == Path(coordinator.handoff_dir)
+        coordinator.workers[owner].inject_fault("crash")
+        coordinator.check_health()
+        assert owner not in coordinator.workers
+        assert spill_file.exists()
+    assert not Path(coordinator.handoff_dir).exists()
+
+
+# -- admit encoding ----------------------------------------------------------------
+
+
+def test_journal_admits_encode_each_graph_object_once(tmp_path, monkeypatch):
+    graph = random_regular_expander(48, degree=4, seed=11)  # fresh: no memoized encoding
+    encoded = []
+    from_graph = WireGraph.from_graph.__func__
+
+    def counting_from_graph(cls, source):
+        encoded.append(source)
+        return from_graph(cls, source)
+
+    journal = CoordinatorJournal(tmp_path, fsync=False, metrics=MetricsRegistry())
+    with ClusterCoordinator(**_coordinator_kwargs(journal=journal)) as coordinator:
+        monkeypatch.setattr(WireGraph, "from_graph", classmethod(counting_from_graph))
+        for shift in (1, 2):
+            coordinator.submit(graph, permutation_workload(graph, shift=shift))
+        monkeypatch.undo()
+        assert encoded == [graph]
+        items = [item for slice_ in coordinator.drain_slices().values() for item in slice_]
+        admits = [record for record in journal.wal.replay() if isinstance(record, JournalAdmit)]
+    assert len(admits) == len(items) == 2
+    by_key = {item.idempotency_key: item for item in items}
+    for admit in admits:
+        # The bytes each admit would have had when every admit encoded afresh.
+        fresh = WireShardQuery.from_shard_query(by_key[admit.key])
+        assert admit.to_wire() == replace(admit, query=fresh).to_wire()
 
 
 # -- shard spawn failures ----------------------------------------------------------

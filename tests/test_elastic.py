@@ -6,6 +6,8 @@ batch served exactly once in the reports (``lost_batches == 0``,
 ``completed == admitted``), on the local and the tcp transport alike.
 """
 
+from pathlib import Path
+
 import pytest
 
 from repro.cluster import (
@@ -479,7 +481,7 @@ def test_autoscaler_scale_up_causes_zero_extra_preprocess_rounds(graphs):
 
 @pytest.mark.chaos
 def test_tcp_warm_handoff_keeps_full_cache_hits_and_signatures():
-    """Satellite: scale events over tcp ride the shm plane, byte-identically."""
+    """Scale events over tcp hand warm artifacts over as spill files, byte-identically."""
     graphs = [random_regular_expander(48, degree=6, seed=s) for s in range(3)]
     metrics = MetricsRegistry()
     with ClusterCoordinator(
@@ -510,4 +512,7 @@ def test_tcp_warm_handoff_keeps_full_cache_hits_and_signatures():
         # Same membership as before the scale events: byte-identical dispatch.
         assert shrunk.signature() == before.signature()
         handoffs = metrics.as_dict().get("repro_cluster_warm_handoffs_total", {})
-        assert handoffs and handoffs.get("path=shm", 0.0) == sum(handoffs.values())
+        assert handoffs and handoffs.get("path=spill", 0.0) == sum(handoffs.values())
+        # Each handoff's spill file is deleted once adopted.
+        assert list(Path(coordinator.handoff_dir).glob("*.pkl")) == []
+    assert not Path(coordinator.handoff_dir).exists()

@@ -297,17 +297,11 @@ def _service_signatures(plan, graph, workloads):
     [
         ExecutionPlan(backend="deterministic", fused=True),
         ExecutionPlan(backend="deterministic", parallelism="processes", fused=True),
-        ExecutionPlan(
-            backend="deterministic",
-            parallelism="processes",
-            fused=True,
-            artifact_transport="shm",
-        ),
     ],
-    ids=["threads-fused", "processes-fused", "processes-fused-shm"],
+    ids=["threads-fused", "processes-fused"],
 )
 def test_service_fused_signature_parity(variant):
-    """BatchReport.signature() is identical across fused/sequential and transports."""
+    """BatchReport.signature() is identical across fused/sequential and pool modes."""
     graph = nx.random_regular_graph(4, 48, seed=5)
     nodes = sorted(graph.nodes())
     workloads = []
@@ -324,8 +318,8 @@ def test_service_fused_signature_parity(variant):
 
 
 def test_fused_plan_is_physical_not_semantic():
-    """Fusion and transport change the physical plan id only."""
+    """Fusion changes the physical plan id only."""
     plain = ExecutionPlan(backend="deterministic")
-    fused = ExecutionPlan(backend="deterministic", fused=True, artifact_transport="shm")
+    fused = ExecutionPlan(backend="deterministic", fused=True)
     assert plain.semantic_id == fused.semantic_id
     assert plain.plan_id != fused.plan_id

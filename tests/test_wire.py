@@ -314,10 +314,10 @@ MESSAGE_STRATEGIES = {
     "artifact-export-reply": st.builds(
         ArtifactExportReply,
         fingerprint=names,
-        segment=st.none() | names,
+        path=st.none() | names,
         found=st.booleans(),
     ),
-    "artifact-adopt": st.builds(ArtifactAdoptRequest, fingerprint=names, segment=names),
+    "artifact-adopt": st.builds(ArtifactAdoptRequest, fingerprint=names, path=names),
     "artifact-adopt-reply": st.builds(ArtifactAdoptReply, adopted=st.booleans()),
     "journal-admit": st.builds(
         JournalAdmit,
@@ -491,9 +491,26 @@ def test_wire_bytes_are_pinned():
         b'"load":2,"backend":"deterministic","backend_params":{"epsilon":0.5},'
         b'"workload":"permutation","plan":{"type":"plan","v":1,"backend":"deterministic",'
         b'"backend_params":{"seed":7},"kernel":"numpy","parallelism":"threads",'
+        b'"max_workers":2,"chunk_size":null,"fused":true,'
+        b'"shard_hint":null,"policy":"fixed","reason":""},"idempotency_key":"key-1"}'
+    )
+    # Journals written before plans lost their artifact-transport field
+    # still replay: the field is ignored and the plan decodes unchanged.
+    journaled = (
+        b'\x00{"type":"shard-query","v":1,"fingerprint":"fp-1",'
+        b'"graph":{"type":"graph","v":1,"nodes":[0,1,2],'
+        b'"edges":[[0,1,{"weight":2}],[1,2,{}]]},"graph_ref":"",'
+        b'"requests":[{"type":"request","v":1,"source":0,"destination":2,"payload":"x"},'
+        b'{"type":"request","v":1,"source":2,"destination":0,"payload":null}],'
+        b'"load":2,"backend":"deterministic","backend_params":{"epsilon":0.5},'
+        b'"workload":"permutation","plan":{"type":"plan","v":1,"backend":"deterministic",'
+        b'"backend_params":{"seed":7},"kernel":"numpy","parallelism":"threads",'
         b'"max_workers":2,"chunk_size":null,"fused":true,"artifact_transport":"pickle",'
         b'"shard_hint":null,"policy":"fixed","reason":""},"idempotency_key":"key-1"}'
     )
+    old = message_from_wire(journaled)
+    assert old == query
+    assert old.plan.to_plan() == query.plan.to_plan()
     graph = random_regular_expander(16, degree=4, seed=3)
     assert WireGraph.from_graph(graph).fingerprint() == (
         "6a8533ae41f3fd339f2c2634eef5033aaf766e1105b3f719ddd1f3828937a9f6"
